@@ -148,9 +148,9 @@ void Client::apply_invalidations(ser::Reader& r) {
     int64_t id = r.get_i64();
     uint64_t epoch = r.get_u64();
     auto it = cache_.find(id);
-    // entry.epoch >= epoch means the entry was cached from a later
+    // entry.epoch > epoch means the entry was cached from a later
     // incarnation than the one this deletion notice is about: keep it.
-    if (it != cache_.end() && it->second.epoch < epoch) {
+    if (it != cache_.end() && it->second.epoch <= epoch) {
       ++cache_stats_.invalidations;
       cache_erase(id);
     }

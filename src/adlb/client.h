@@ -16,41 +16,33 @@
 #include <vector>
 
 #include "adlb/protocol.h"
+#include "common/stats.h"
 #include "mpi/comm.h"
 
 namespace ilps::adlb {
 
 // Activity counters for the per-rank datum cache (published as the
 // adlb.cache_* metrics). All zero when the cache is disabled.
-struct DataCacheStats {
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t evictions = 0;      // LRU drops to stay under the byte budget
-  uint64_t invalidations = 0;  // entries dropped by piggybacked GC notices
+#define ILPS_DATA_CACHE_STATS(X)                                               \
+  X(hits)                                                                      \
+  X(misses)                                                                    \
+  X(evictions)     /* LRU drops to stay under the byte budget */               \
+  X(invalidations) /* entries dropped by piggybacked GC notices */
 
-  DataCacheStats& operator+=(const DataCacheStats& o) {
-    hits += o.hits;
-    misses += o.misses;
-    evictions += o.evictions;
-    invalidations += o.invalidations;
-    return *this;
-  }
+struct DataCacheStats {
+  ILPS_STAT_MEMBERS(DataCacheStats, "adlb.cache_", ILPS_DATA_CACHE_STATS)
 };
 
 // Activity counters for the write-behind datum pipeline (published as the
 // adlb.pipeline_* metrics). All zero when pipelining is off (window <= 1,
 // or ft).
-struct DataPipelineStats {
-  uint64_t ops = 0;      // ack-only datum ops that were buffered
-  uint64_t flushes = 0;  // kDataBatch messages shipped
-  uint64_t stalls = 0;   // ships that had to drain an ack first (window full)
+#define ILPS_DATA_PIPELINE_STATS(X)                                            \
+  X(ops)     /* ack-only datum ops that were buffered */                       \
+  X(flushes) /* kDataBatch messages shipped */                                 \
+  X(stalls)  /* ships that had to drain an ack first (window full) */
 
-  DataPipelineStats& operator+=(const DataPipelineStats& o) {
-    ops += o.ops;
-    flushes += o.flushes;
-    stalls += o.stalls;
-    return *this;
-  }
+struct DataPipelineStats {
+  ILPS_STAT_MEMBERS(DataPipelineStats, "adlb.pipeline_", ILPS_DATA_PIPELINE_STATS)
 };
 
 class Client {

@@ -631,6 +631,7 @@ void Server::restore(const ckpt::Snapshot& snap) {
     // Open datums are re-closed by the replayed program; their write
     // refcount bookkeeping restarts from scratch.
     d.write_refs = rec.closed ? rec.write_refs : 1;
+    d.epoch = ++next_epoch_;
     store_.emplace(rec.id, std::move(d));
   }
   for (uint64_t fp : snap.done_tasks) ++done_fingerprints_[fp];
@@ -800,11 +801,6 @@ uint32_t Server::do_close(int64_t id, Datum& datum, int rpc_source) {
   return self_notifications;
 }
 
-uint64_t Server::epoch_of(int64_t id) const {
-  auto it = gc_epochs_.find(id);
-  return it == gc_epochs_.end() ? 0 : it->second;
-}
-
 void Server::write_retrieve_result(ser::Writer& w, int source, int64_t id, const Datum& d) {
   w.put_str(d.value);
   // closed is already established by the caller; a live datum's read
@@ -812,17 +808,16 @@ void Server::write_retrieve_result(ser::Writer& w, int source, int64_t id, const
   // sit at zero and must not be cached.
   const bool cacheable = d.read_refs > 0;
   w.put_bool(cacheable);
-  w.put_u64(epoch_of(id));
+  w.put_u64(d.epoch);
   // Under ft clients never cache and nothing is GC'd (tombstones), so
   // tracking handouts would only accumulate memory.
   if (cacheable && !cfg_.ft) handouts_[id].insert(source);
 }
 
-void Server::gc_datum(int64_t id) {
-  // Bump the epoch first: any client holding this incarnation's bytes
-  // sees the invalidation (on its next reply) before it can possibly see
-  // a recreation of the id, because both travel the same ordered channel.
-  const uint64_t epoch = ++gc_epochs_[id];
+void Server::gc_datum(int64_t id, uint64_t epoch) {
+  // Any client holding this incarnation's bytes sees the invalidation (on
+  // its next reply) before it can possibly see a recreation of the id,
+  // because both travel the same ordered channel.
   auto h = handouts_.find(id);
   if (h != handouts_.end()) {
     for (int client : h->second) pending_inval_[client].emplace_back(id, epoch);
@@ -850,6 +845,7 @@ uint32_t Server::apply_data_mutation(int source, Op op, ser::Reader& r) {
       }
       Datum d;
       d.type = type;
+      d.epoch = ++next_epoch_;
       store_.emplace(id, std::move(d));
       if (req != 0) req_index_[req].push_back(id);
       return 0;
@@ -894,7 +890,7 @@ uint32_t Server::apply_data_mutation(int source, Op op, ser::Reader& r) {
       }
       // Under fault tolerance the datum is kept as a tombstone: a
       // restart replays reads that the refcounts say already happened.
-      if (d.read_refs == 0 && !cfg_.ft) gc_datum(id);
+      if (d.read_refs == 0 && !cfg_.ft) gc_datum(id, d.epoch);
       return 0;
     }
     case Op::kWriteIncr: {
@@ -1060,7 +1056,7 @@ void Server::handle_data_op(int source, Op op, ser::Reader& r) {
         // scalar, so the enumeration is cacheable under the same rule.
         const bool cacheable = d.closed && d.read_refs > 0;
         w.put_bool(cacheable);
-        w.put_u64(epoch_of(id));
+        w.put_u64(d.epoch);
         if (cacheable && !cfg_.ft) handouts_[id].insert(source);
         comm_.send(source, kTagResponse, std::move(w));
         return;
@@ -1076,23 +1072,12 @@ void Server::handle_data_op(int source, Op op, ser::Reader& r) {
             if (sit == store_.end()) continue;  // already refcount-GC'd
             const Datum& d = sit->second;
             if (!d.closed) {
-              // Same diagnostics release_parked() produces at shutdown;
-              // counting here (the store is swept clean below) keeps the
-              // run-level leftover/stuck totals identical.
+              // Counting here (the store is swept clean below) keeps the
+              // run-level leftover/stuck totals identical to a shutdown's.
               ++leftover;
-              ++stats_.leftover_data;
-              if (!d.subscribers.empty()) {
-                ++stuck;
-                ++stats_.stuck_datums;
-                obs::instant(obs::EventKind::kDatumStuck, id,
-                             static_cast<int64_t>(d.subscribers.size()));
-                if (stats_.stuck_datums <= 8) {
-                  log::warn("adlb: datum <", id, "> never closed; ", d.subscribers.size(),
-                            " subscriber(s) still waiting");
-                }
-              }
+              if (note_unclosed(id, d)) ++stuck;
             }
-            gc_datum(id);
+            gc_datum(id, d.epoch);
           }
           req_index_.erase(it);
         }
@@ -1190,19 +1175,22 @@ void Server::release_parked() {
   }
   parked_clients_.clear();
   for (const auto& [id, datum] : store_) {
-    if (!datum.closed) ++stats_.leftover_data;
-    // An unclosed datum with live subscribers is the data-store view of a
-    // deadlock: some rule subscribed and the close never came.
-    if (!datum.closed && !datum.subscribers.empty()) {
-      ++stats_.stuck_datums;
-      obs::instant(obs::EventKind::kDatumStuck, id,
-                   static_cast<int64_t>(datum.subscribers.size()));
-      if (stats_.stuck_datums <= 8) {
-        log::warn("adlb: datum <", id, "> never closed; ", datum.subscribers.size(),
-                  " subscriber(s) still waiting");
-      }
-    }
+    if (!datum.closed) note_unclosed(id, datum);
   }
+}
+
+bool Server::note_unclosed(int64_t id, const Datum& d) {
+  ++stats_.leftover_data;
+  // An unclosed datum with live subscribers is the data-store view of a
+  // deadlock: some rule subscribed and the close never came.
+  if (d.subscribers.empty()) return false;
+  ++stats_.stuck_datums;
+  obs::instant(obs::EventKind::kDatumStuck, id, static_cast<int64_t>(d.subscribers.size()));
+  if (stats_.stuck_datums <= 8) {
+    log::warn("adlb: datum <", id, "> never closed; ", d.subscribers.size(),
+              " subscriber(s) still waiting");
+  }
+  return true;
 }
 
 // ---- replies ----

@@ -35,32 +35,36 @@
 #include "adlb/protocol.h"
 #include "ckpt/snapshot.h"
 #include "common/rng.h"
+#include "common/stats.h"
 #include "mpi/comm.h"
 
 namespace ilps::adlb {
 
-struct ServerStats {
-  uint64_t puts = 0;
-  uint64_t gets = 0;
-  uint64_t matches = 0;          // work units handed to clients
-  uint64_t forwards = 0;         // targeted units relayed to another server
-  uint64_t hungry_notices = 0;   // notices broadcast by this server
-  uint64_t batches_sent = 0;     // rebalance batches shipped to peers
-  uint64_t units_rebalanced = 0; // work units inside those batches
-  uint64_t steal_batches = 0;      // multi-unit kForwardPut messages sent
-  uint64_t steal_batch_units = 0;  // work units inside those messages
-  uint64_t notifications = 0;    // close notifications produced
-  uint64_t data_ops = 0;
-  uint64_t tokens = 0;           // termination tokens handled
-  uint64_t leftover_data = 0;    // unclosed data at shutdown (diagnostic)
-  uint64_t stuck_datums = 0;     // unclosed data somebody subscribed to (deadlock evidence)
+// Per-server counters, summed across servers into the run's adlb.* metrics.
+#define ILPS_SERVER_STATS(X)                                                   \
+  X(puts)                                                                      \
+  X(gets)                                                                      \
+  X(matches)           /* work units handed to clients */                      \
+  X(forwards)          /* targeted units relayed to another server */          \
+  X(hungry_notices)    /* notices broadcast by this server */                  \
+  X(batches_sent)      /* rebalance batches shipped to peers */                \
+  X(units_rebalanced)  /* work units inside those batches */                   \
+  X(steal_batches)     /* multi-unit kForwardPut messages sent */              \
+  X(steal_batch_units) /* work units inside those messages */                  \
+  X(notifications)     /* close notifications produced */                      \
+  X(data_ops)                                                                  \
+  X(tokens)            /* termination tokens handled */                        \
+  X(leftover_data)     /* unclosed data at shutdown (diagnostic) */            \
+  X(stuck_datums)      /* unclosed data somebody subscribed to (deadlock) */   \
+  /* ---- fault tolerance ---- */                                              \
+  X(requeues)          /* units re-dispatched after a failure */               \
+  X(task_failures)     /* kTaskFailed reports received */                      \
+  X(heartbeat_deaths)  /* clients declared dead by silence */                  \
+  X(checkpoints)       /* checkpoint files written */                          \
+  X(replay_skips)      /* units skipped as already completed */
 
-  // ---- fault tolerance ----
-  uint64_t requeues = 0;          // units re-dispatched after a failure
-  uint64_t task_failures = 0;     // kTaskFailed reports received
-  uint64_t heartbeat_deaths = 0;  // clients declared dead by silence
-  uint64_t checkpoints = 0;       // checkpoint files written
-  uint64_t replay_skips = 0;      // units skipped as already completed
+struct ServerStats {
+  ILPS_STAT_MEMBERS(ServerStats, "adlb.", ILPS_SERVER_STATS)
 };
 
 class Server {
@@ -92,6 +96,9 @@ class Server {
     int read_refs = 1;
     int write_refs = 1;
     std::vector<std::pair<int, int>> subscribers;  // (client rank, notify type)
+    // Incarnation stamp, unique per server: a recreated id gets a larger
+    // one, so cached bytes and GC notices say which incarnation they mean.
+    uint64_t epoch = 0;
   };
 
   // ---- message dispatch ----
@@ -158,14 +165,13 @@ class Server {
   // the count rides back on the ACK so an owner engine can account for
   // close notifications it has just mailed to itself (see maybe_spawn_notice).
   uint32_t do_close(int64_t id, Datum& datum, int rpc_source);
-  // Appends one retrieve result (value, cacheable flag, GC epoch) and
-  // records the handout when cacheable (shared by kRetrieve and
+  // Appends one retrieve result (value, cacheable flag, incarnation
+  // epoch) and records the handout when cacheable (shared by kRetrieve and
   // kMultiRetrieve).
   void write_retrieve_result(ser::Writer& w, int source, int64_t id, const Datum& d);
-  uint64_t epoch_of(int64_t id) const;
-  // Refcount GC: bump the id's epoch and queue an invalidation for every
+  // Refcount GC: queue an invalidation of this incarnation for every
   // client holding its bytes, then erase it from the store.
-  void gc_datum(int64_t id);
+  void gc_datum(int64_t id, uint64_t epoch);
 
   // ---- termination ----
   bool quiet() const;
@@ -173,6 +179,10 @@ class Server {
   void try_forward_token();
   void shutdown_all();
   void release_parked();
+  // Counts a never-closed datum (at shutdown or namespace sweep) as
+  // leftover data, and as stuck if a rule still waits on it; returns
+  // whether it was stuck.
+  bool note_unclosed(int64_t id, const Datum& d);
 
   // ---- replies ----
   // Every reply to a client starts with the invalidation header (see
@@ -216,7 +226,7 @@ class Server {
   // Client-cache coherence (inert when no client caches: handouts are
   // only recorded for replies marked cacheable, and under ft nothing is
   // ever GC'd so no invalidations arise).
-  std::unordered_map<int64_t, uint64_t> gc_epochs_;     // id -> deletions seen
+  uint64_t next_epoch_ = 0;                             // last Datum::epoch issued
   std::unordered_map<int64_t, std::set<int>> handouts_; // id -> clients holding bytes
   std::unordered_map<int, std::vector<std::pair<int64_t, uint64_t>>>
       pending_inval_;  // client -> (id, epoch) to ride the next reply

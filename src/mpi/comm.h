@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "common/buffer.h"
+#include "common/stats.h"
 
 namespace ilps::obs {
 class Session;
@@ -131,27 +132,33 @@ struct Message {
 
 // Aggregate traffic counters for a World; read them after run() returns or
 // accept slightly stale values during a run.
+//
+// Wakeup protocol: a post() only signals the destination's condition
+// variable when a receiver is registered as blocked on a matching
+// envelope. `wakeups` counts posts that signalled; `wakeups_suppressed`
+// counts posts that skipped the syscall (no waiter, or the waiter wants a
+// different envelope).
+//
+// Send-buffer freelist: pool_hits counts sends served from a recycled
+// buffer, pool_misses counts sends that had to allocate.
+//
+// Shared-memory collectives. `barrier_fastpath` counts rank-crossings of
+// the sense-reversing barrier that completed without sleeping on the
+// condition variable; `collective_wakeups` counts the notify episodes the
+// barrier releaser had to issue (each one wakes every sleeper at once,
+// replacing the per-edge message wakeups of the old binomial tree).
+#define ILPS_TRAFFIC_STATS(X)                                                  \
+  X(messages)                                                                  \
+  X(bytes)                                                                     \
+  X(wakeups)                                                                   \
+  X(wakeups_suppressed)                                                        \
+  X(pool_hits)                                                                 \
+  X(pool_misses)                                                               \
+  X(barrier_fastpath)                                                          \
+  X(collective_wakeups)
+
 struct TrafficStats {
-  uint64_t messages = 0;
-  uint64_t bytes = 0;
-  // Wakeup protocol: a post() only signals the destination's condition
-  // variable when a receiver is registered as blocked on a matching
-  // envelope. `wakeups` counts posts that signalled; `wakeups_suppressed`
-  // counts posts that skipped the syscall (no waiter, or the waiter wants
-  // a different envelope).
-  uint64_t wakeups = 0;
-  uint64_t wakeups_suppressed = 0;
-  // Send-buffer freelist: pool_hits counts sends served from a recycled
-  // buffer, pool_misses counts sends that had to allocate.
-  uint64_t pool_hits = 0;
-  uint64_t pool_misses = 0;
-  // Shared-memory collectives. `barrier_fastpath` counts rank-crossings of
-  // the sense-reversing barrier that completed without sleeping on the
-  // condition variable; `collective_wakeups` counts the notify episodes the
-  // barrier releaser had to issue (each one wakes every sleeper at once,
-  // replacing the per-edge message wakeups of the old binomial tree).
-  uint64_t barrier_fastpath = 0;
-  uint64_t collective_wakeups = 0;
+  ILPS_STAT_MEMBERS(TrafficStats, "mpi.", ILPS_TRAFFIC_STATS)
 };
 
 class World;

@@ -153,14 +153,9 @@ struct WorldState {
   }
 
   // Traffic / wakeup / pool tallies: pure stats, no protocol reads them.
-  ilps::RelaxedCounter messages;
-  ilps::RelaxedCounter bytes;
-  ilps::RelaxedCounter wakeups;
-  ilps::RelaxedCounter wakeups_suppressed;
-  ilps::RelaxedCounter pool_hits;
-  ilps::RelaxedCounter pool_misses;
-  ilps::RelaxedCounter barrier_fastpath;
-  ilps::RelaxedCounter collective_wakeups;
+#define ILPS_RELAXED_FIELD_(name) ilps::RelaxedCounter name;
+  ILPS_TRAFFIC_STATS(ILPS_RELAXED_FIELD_)
+#undef ILPS_RELAXED_FIELD_
 
   // Sense-reversing shared-memory barrier. Ranks are threads in one
   // process, so a barrier needs no messages at all: arrive on an atomic
@@ -279,14 +274,11 @@ void World::run(const std::function<void(Comm&)>& rank_main) {
 }
 
 TrafficStats World::stats() const {
-  return TrafficStats{state_->messages.load(),
-                      state_->bytes.load(),
-                      state_->wakeups.load(),
-                      state_->wakeups_suppressed.load(),
-                      state_->pool_hits.load(),
-                      state_->pool_misses.load(),
-                      state_->barrier_fastpath.load(),
-                      state_->collective_wakeups.load()};
+  TrafficStats t;
+#define ILPS_LOAD_FIELD_(name) t.name = state_->name.load();
+  ILPS_TRAFFIC_STATS(ILPS_LOAD_FIELD_)
+#undef ILPS_LOAD_FIELD_
+  return t;
 }
 
 void World::post(int source, int dest, int tag, std::vector<std::byte>&& data) {

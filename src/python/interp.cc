@@ -69,9 +69,13 @@ std::string apply_format_spec(const Ref& v, const std::string& spec) {
 
 }  // namespace
 
+// Evaluates against `owner`, the AST root that holds the code being run:
+// a def or lambda aliases it, so a function keeps exactly the tree that
+// defines it alive, and its body later runs with that owner again.
 class Evaluator {
  public:
-  explicit Evaluator(Interpreter& in) : in_(in) {}
+  Evaluator(Interpreter& in, std::shared_ptr<const void> owner)
+      : in_(in), owner_(std::move(owner)) {}
 
   void exec_block(const Block& block) {
     for (const auto& stmt : block) exec(*stmt);
@@ -131,9 +135,9 @@ class Evaluator {
         fn.name = s.name;
         fn.params = s.params;
         for (const auto& d : s.defaults) fn.defaults.push_back(eval(*d));
-        // The Stmt is owned by a Block in the interpreter arena; share the
-        // body through an aliasing shared_ptr so it outlives this eval.
-        fn.body = std::shared_ptr<const void>(in_.arena_.back(), &s.body);
+        // Share the body through an aliasing shared_ptr to the owning
+        // root, so it outlives this eval.
+        fn.body = std::shared_ptr<const void>(owner_, &s.body);
         set_name(s.name, std::make_shared<Value>(std::move(fn)));
         return;
       }
@@ -304,7 +308,7 @@ class Evaluator {
         fn.params = e.params;
         for (const auto& d : e.defaults) fn.defaults.push_back(eval(*d));
         fn.is_lambda = true;
-        fn.body = std::shared_ptr<const void>(in_.arena_.back(), e.a.get());
+        fn.body = std::shared_ptr<const void>(owner_, e.a.get());
         return std::make_shared<Value>(std::move(fn));
       }
       case Expr::Kind::kListComp: {
@@ -360,11 +364,12 @@ class Evaluator {
         --in.depth_;
       }
     } guard{in_};
+    Evaluator body(in_, fn.body);
     if (fn.is_lambda) {
-      return eval(*static_cast<const Expr*>(fn.body.get()));
+      return body.eval(*static_cast<const Expr*>(fn.body.get()));
     }
     try {
-      exec_block(*static_cast<const Block*>(fn.body.get()));
+      body.exec_block(*static_cast<const Block*>(fn.body.get()));
     } catch (ReturnSig& r) {
       return r.value;
     }
@@ -701,6 +706,7 @@ class Evaluator {
   Ref call_method(const Ref& obj, const std::string& name, std::vector<Ref>& args);
 
   Interpreter& in_;
+  std::shared_ptr<const void> owner_;
 };
 
 // Method implementations live in builtins.cc to keep this file focused on
@@ -725,7 +731,6 @@ void Interpreter::reset() {
   globals_.clear();
   builtins_.clear();
   frames_.clear();
-  arena_.clear();
   statements_ = 0;
   depth_ = 0;
   rng_ = Rng(0x9121);
@@ -734,8 +739,7 @@ void Interpreter::reset() {
 
 std::string Interpreter::eval(const std::string& code, const std::string& expr) {
   auto block = parse_program(code);
-  arena_.push_back(block);
-  Evaluator ev(*this);
+  Evaluator ev(*this, block);
   try {
     ev.exec_block(*block);
   } catch (BreakSig&) {
@@ -750,15 +754,8 @@ std::string Interpreter::eval(const std::string& code, const std::string& expr) 
 }
 
 Ref Interpreter::eval_expr(const std::string& expr) {
-  auto block = std::make_shared<Block>();  // arena entry to anchor lambdas
-  arena_.push_back(block);
   ExprP e = parse_expression(expr);
-  // Keep the expression AST alive alongside the arena anchor.
-  auto holder = std::make_shared<Stmt>();
-  holder->kind = Stmt::Kind::kExpr;
-  holder->value = e;
-  block->push_back(holder);
-  Evaluator ev(*this);
+  Evaluator ev(*this, e);
   return ev.eval(*e);
 }
 

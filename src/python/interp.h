@@ -62,7 +62,6 @@ class Interpreter {
   std::map<std::string, Ref> globals_;
   std::map<std::string, Ref> builtins_;
   std::vector<Frame> frames_;
-  std::vector<std::shared_ptr<Block>> arena_;  // keeps executed ASTs alive
   std::function<void(const std::string&)> print_;
   uint64_t statements_ = 0;
   int depth_ = 0;

@@ -25,7 +25,10 @@ struct ReturnSig {
 
 class REvaluator {
  public:
-  explicit REvaluator(Interpreter& in) : in_(in) {}
+  // `owner` is the AST root holding the code being run: a function
+  // literal aliases it, and a closure's body runs with it as owner again.
+  REvaluator(Interpreter& in, std::shared_ptr<const void> owner)
+      : in_(in), owner_(std::move(owner)) {}
 
   RRef eval(const RExpr& e, const EnvRef& env) {
     ++in_.count_;
@@ -103,9 +106,8 @@ class REvaluator {
         for (const auto& [name, def] : e.params) {
           closure->params.emplace_back(name, def);
         }
-        // The AST is owned by the interpreter arena; alias the program's
-        // owner so the body outlives this eval call.
-        closure->body = std::shared_ptr<const RExpr>(in_.arena_.back(), e.a.get());
+        // Alias the owning root so the body outlives this eval call.
+        closure->body = std::shared_ptr<const RExpr>(owner_, e.a.get());
         closure->env = env;
         auto v = std::make_shared<RValue>();
         v->type = RValue::Type::kClosure;
@@ -159,6 +161,7 @@ class REvaluator {
     auto env = std::make_shared<Environment>();
     env->parent = closure.env;
     in_.register_env(env);
+    REvaluator body(in_, closure.body);  // defaults and body: the closure's AST
 
     // R argument matching (simplified): exact-name matches first, then
     // positional filling of the remaining parameters.
@@ -191,7 +194,7 @@ class REvaluator {
     for (size_t q = 0; q < closure.params.size(); ++q) {
       if (param_bound[q]) continue;
       if (closure.params[q].second) {
-        env->vars[closure.params[q].first] = eval(*closure.params[q].second, env);
+        env->vars[closure.params[q].first] = body.eval(*closure.params[q].second, env);
       } else {
         // Lazily missing, like R; error only if actually used — we
         // simplify to an immediate error.
@@ -204,7 +207,7 @@ class REvaluator {
       ~Guard() { --in.depth_; }
     } guard{in_};
     try {
-      return eval(*closure.body, env);
+      return body.eval(*closure.body, env);
     } catch (ReturnSig& r) {
       return r.value;
     }
@@ -578,6 +581,7 @@ class REvaluator {
   }
 
   Interpreter& in_;
+  std::shared_ptr<const void> owner_;
 };
 
 // ---- bridges for builtins.cc ----
@@ -585,7 +589,7 @@ class REvaluator {
 RRef call_r_function(Interpreter& in, const RRef& fn, std::vector<NamedArg>& args) {
   if (fn->type == RValue::Type::kBuiltin) return fn->builtin->fn(args);
   if (fn->type != RValue::Type::kClosure) throw RError("attempt to apply non-function");
-  REvaluator ev(in);
+  REvaluator ev(in, nullptr);
   return ev.call_closure(fn, args);
 }
 
@@ -625,7 +629,6 @@ void Interpreter::break_env_cycles() {
 void Interpreter::reset() {
   break_env_cycles();
   global_ = std::make_shared<Environment>();
-  arena_.clear();
   count_ = 0;
   depth_ = 0;
   rng_ = Rng(0x5EED);
@@ -635,8 +638,7 @@ void Interpreter::reset() {
 RRef Interpreter::eval_value(const std::string& code) {
   auto prog = std::make_shared<std::vector<RExprP>>(parse_r(code));
   if (prog->empty()) return r_null();
-  arena_.push_back(prog);
-  REvaluator ev(*this);
+  REvaluator ev(*this, prog);
   RRef last = r_null();
   for (const auto& e : *prog) last = ev.eval(*e, global_);
   return last;

@@ -63,9 +63,6 @@ class Interpreter {
   uint64_t count_ = 0;
   int depth_ = 0;
   Rng rng_{0x5EED};
-  // Parsed programs stay alive for the interpreter lifetime; closures
-  // alias into them.
-  std::vector<std::shared_ptr<std::vector<RExprP>>> arena_;
   std::vector<std::weak_ptr<Environment>> envs_;
 };
 

@@ -2,6 +2,11 @@
 // (engines, ADLB servers, workers), runs a Turbine program, and collects
 // output and statistics. At run time an ILPS program is a message-passing
 // program, exactly as a Swift/T program is an MPI program.
+//
+// The rank bodies themselves live in one driver, serve::run_world
+// (src/serve/world.h), shared with the resident service: run_program and
+// run_with_faults differ from it only in the plan they pass (fault-tolerant
+// protocol and checkpoint restore for the latter).
 #pragma once
 
 #include <functional>
@@ -61,6 +66,13 @@ struct Config {
     cfg.steal_half = steal_half;
     cfg.priority_notifications = priority_notifications;
     cfg.data_cache_mb = data_cache_mb;
+    // The ft knobs below are inert until the run turns adlb::Config::ft on.
+    cfg.nengines = engines;
+    cfg.max_task_retries = max_task_retries;
+    cfg.retry_backoff_ms = retry_backoff_ms;
+    cfg.heartbeat_timeout_ms = heartbeat_timeout_ms;
+    cfg.ckpt_interval = ckpt_interval;
+    cfg.ckpt_dir = ckpt_dir;
     return cfg;
   }
 };

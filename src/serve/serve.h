@@ -185,8 +185,8 @@ struct ServiceStats {
   uint64_t program_cache_hits = 0;
   uint64_t slow_requests = 0;    // latency >= ServeConfig::slow_request_seconds
   uint64_t traced_requests = 0;  // completed with a captured trace
-  // MiniTcl bytecode layer, harvested from every client rank's context at
-  // resident-world teardown (zeros while the world is still up).
+  // MiniTcl bytecode layer, from the resident world's aggregate
+  // (serve::run_world's RunResult) at teardown; zeros while it is up.
   uint64_t tcl_compile_hits = 0;
   uint64_t tcl_compile_misses = 0;
   uint64_t tcl_compile_bailouts = 0;
@@ -237,13 +237,12 @@ class Service {
   bool entered() const;
 
   // ---- batch mode ----
-  // One-shot run through the serve rank bodies: builds the world, runs
-  // `program` exactly as the legacy runtime did (same output, stats, and
-  // error semantics), and tears the world down. runtime::run_program is a
-  // thin wrapper over this. The resident machinery (request namespaces,
-  // accounting, admission) stays dormant: a batch world has no ingress
-  // rank, so the rank layout and message traffic match the legacy runtime
-  // exactly.
+  // One-shot run on the same rank bodies as the resident world
+  // (serve::run_world): builds a world, runs `program`, and tears the
+  // world down. runtime::run_program is a thin wrapper over this. The
+  // resident machinery (request namespaces, accounting, admission) stays
+  // dormant: a batch world has no ingress rank, so the program's datums
+  // live in namespace 0 and errors propagate as exceptions.
   static runtime::RunResult run_batch(const runtime::Config& cfg, const std::string& program);
 
  private:

@@ -11,7 +11,6 @@
 #include <utility>
 
 #include "adlb/client.h"
-#include "adlb/server.h"
 #include "common/sync.h"
 #include "common/timer.h"
 #include "mpi/comm.h"
@@ -19,8 +18,8 @@
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
+#include "serve/world.h"
 #include "swift/compiler.h"
-#include "turbine/context.h"
 
 namespace ilps::serve {
 
@@ -100,7 +99,7 @@ struct RequestEntry {
   std::shared_ptr<CompiledProgram> prog;
   double submitted = 0;  // hub-clock time of admission
   bool traced = false;   // trace capture registered for this request
-  std::string partial;   // output fragment awaiting its newline
+  LineSplitter out;      // output fragment awaiting its newline
   bool done = false;
   RequestResult result;
 };
@@ -113,34 +112,6 @@ struct Command {
   std::shared_ptr<RequestEntry> entry;                   // kSubmit
   std::shared_ptr<std::promise<uint64_t>> count;        // kCount
 };
-
-// Formats the per-request stuck-future report (the resident counterpart
-// of the runtime's batch deadlock message).
-std::string deadlock_message(int64_t req, const turbine::RequestOutcome& out) {
-  std::ostringstream s;
-  s << "deadlock: request <" << req << "> terminated with " << out.unfired_rules
-    << " rule(s) still waiting on unset futures";
-  constexpr size_t kMaxShown = 8;
-  size_t shown = 0;
-  for (const auto& rule : out.stuck) {
-    if (shown++ == kMaxShown) {
-      s << "\n  ... and " << (out.stuck.size() - kMaxShown) << " more rule(s)";
-      break;
-    }
-    s << "\n  rule <" << rule.id << "> waiting on";
-    if (rule.waiting.empty()) s << " unknown inputs";
-    for (const auto& input : rule.waiting) {
-      s << " ";
-      if (!input.name.empty()) {
-        s << "\"" << input.name << "\" (line " << input.line << ", datum <" << input.id << ">)";
-      } else {
-        s << "datum <" << input.id << ">";
-      }
-    }
-  }
-  s << "\n  hint: `ilps --lint` reports statically provable deadlocks";
-  return s.str();
-}
 
 // Digests a stitched (time-ordered) request trace into the critical-path
 // summary RequestResult carries: where the latency went and what the
@@ -219,7 +190,7 @@ class Hub {
     }
   }
 
-  ilps::Mutex mu;
+  mutable ilps::Mutex mu;
   ilps::CondVar cv_done;  // completion: wakes wait()/drain()/kBlock
   ilps::CondVar cv_cmd;   // new command: wakes the ingress rank
 
@@ -228,27 +199,25 @@ class Hub {
   int64_t next_id ILPS_GUARDED_BY(mu) = 1;
   bool stopping ILPS_GUARDED_BY(mu) = false;  // shutdown() called; no further admissions
 
-  uint64_t admitted ILPS_GUARDED_BY(mu) = 0;
-  uint64_t rejected ILPS_GUARDED_BY(mu) = 0;
-  uint64_t shed ILPS_GUARDED_BY(mu) = 0;
-  uint64_t completed ILPS_GUARDED_BY(mu) = 0;
-  uint64_t failed ILPS_GUARDED_BY(mu) = 0;
-  uint64_t slow ILPS_GUARDED_BY(mu) = 0;    // latency >= slow_threshold_
-  uint64_t traced ILPS_GUARDED_BY(mu) = 0;  // completed with a captured trace
+  // Admission and completion counters (inflight, the program-cache and
+  // tcl fields are filled in by snapshot() and Service::stats()).
+  ServiceStats counts ILPS_GUARDED_BY(mu);
 
-  // MiniTcl bytecode-layer totals, deposited by each client rank when the
-  // resident world tears down (Context lifetime = world lifetime).
-  uint64_t tcl_hits ILPS_GUARDED_BY(mu) = 0;
-  uint64_t tcl_misses ILPS_GUARDED_BY(mu) = 0;
-  uint64_t tcl_bailouts ILPS_GUARDED_BY(mu) = 0;
-  uint64_t tcl_units ILPS_GUARDED_BY(mu) = 0;
+  // The resident world's aggregate (every rank's stats summed), deposited
+  // when the world tears down; all zeros while it is still up.
+  runtime::RunResult world_totals ILPS_GUARDED_BY(mu);
 
-  void note_tcl(const tcl::Interp::CompileStats& cs, size_t units) {
+  // Admission, completion and world counters under one lock hold (the
+  // program-cache fields are the Service's to fill).
+  ServiceStats snapshot() const {
     ilps::LockGuard lock(mu);
-    tcl_hits += cs.hits;
-    tcl_misses += cs.misses;
-    tcl_bailouts += cs.bailouts;
-    tcl_units += units;
+    ServiceStats s = counts;
+    s.inflight = inflight.size();
+    s.tcl_compile_hits = world_totals.tcl_stats.hits;
+    s.tcl_compile_misses = world_totals.tcl_stats.misses;
+    s.tcl_compile_bailouts = world_totals.tcl_stats.bailouts;
+    s.tcl_units_cached = world_totals.tcl_units_cached;
+    return s;
   }
 
   // Slow-request exemplar ring, oldest first (full results incl. trace).
@@ -270,7 +239,7 @@ class Hub {
   }
 
   // Per-request output sink for every client rank (installed as
-  // ContextConfig::serve_output). Splits fragments into lines on the
+  // ContextConfig::output). Splits fragments into lines on the
   // request's own entry; output outside any request goes to stdout only
   // under echo.
   void emit(int64_t req, int rank, const std::string& text) {
@@ -281,13 +250,7 @@ class Hub {
     auto it = inflight.find(req);
     if (it == inflight.end()) return;
     RequestEntry& e = *it->second;
-    e.partial += text;
-    size_t pos;
-    while ((pos = e.partial.find('\n')) != std::string::npos) {
-      e.result.lines.push_back(e.partial.substr(0, pos));
-      e.result.line_times.push_back(clock.elapsed());
-      e.partial.erase(0, pos + 1);
-    }
+    e.out.feed(text, clock.elapsed(), e.result);
   }
 
   // Completion callback from an owner engine (ContextConfig::serve_complete):
@@ -300,7 +263,8 @@ class Hub {
     inflight.erase(it);
     e->result.kind = out.kind;
     e->result.error = out.kind == turbine::RequestErrorKind::kDeadlock
-                          ? deadlock_message(out.req, out)
+                          ? turbine::stuck_message("request <" + std::to_string(out.req) + ">",
+                                                   out.unfired_rules, out.stuck)
                           : std::move(out.error);
     e->result.unfired_rules = out.unfired_rules;
     e->result.stuck = std::move(out.stuck);
@@ -324,15 +288,11 @@ class Hub {
 
   // Caller holds mu. Seals the entry's result and publishes metrics.
   void finish_locked(RequestEntry& e, bool was_failure) ILPS_REQUIRES(mu) {
-    if (!e.partial.empty()) {
-      e.result.lines.push_back(std::move(e.partial));
-      e.result.line_times.push_back(clock.elapsed());
-      e.partial.clear();
-    }
+    e.out.flush(clock.elapsed(), e.result);
     e.result.latency_seconds = clock.elapsed() - e.submitted;
     e.done = true;
-    ++completed;
-    if (was_failure) ++failed;
+    ++counts.completed;
+    if (was_failure) ++counts.failed;
     if (m_completed_ != nullptr) m_completed_->add();
     if (was_failure && m_failed_ != nullptr) m_failed_->add();
     if (m_inflight_ != nullptr) m_inflight_->set(static_cast<double>(inflight.size()));
@@ -347,7 +307,7 @@ class Hub {
                                      was_failure ? 1 : 0);
       e.result.trace = obs::req_capture_take(e.id);
       e.result.trace_summary = detail::summarize_trace(e.result.trace);
-      ++traced;
+      ++counts.traced_requests;
     }
     {
       obs::RequestScope rscope(e.id);
@@ -356,7 +316,7 @@ class Hub {
     const bool is_slow =
         slow_threshold_ > 0 && e.result.latency_seconds >= slow_threshold_;
     if (is_slow) {
-      ++slow;
+      ++counts.slow_requests;
       if (m_slow_ != nullptr) m_slow_->add();
       exemplars.push_back(e.result);
       if (exemplars.size() > kMaxExemplars) exemplars.pop_front();
@@ -515,46 +475,15 @@ void Service::Impl::ingress_loop(adlb::Client& client) {
 }
 
 void Service::Impl::run_world() {
-  const runtime::Config& rc = cfg.runtime;
-  adlb::Config acfg = rc.adlb();
-  const int engines = rc.engines;
-  const int ingress_rank = rc.engines + rc.workers;
-
-  mpi::World world(ingress_rank + 1 + rc.servers);
   std::shared_ptr<Hub> h = hub;
-
-  auto body = [&](mpi::Comm& comm) {
-    if (adlb::is_server(comm.rank(), comm.size(), acfg)) {
-      adlb::Server server(comm, acfg, nullptr);
-      server.serve();
-      return;
-    }
-    adlb::Client client(comm, acfg);
-    if (comm.rank() == ingress_rank) {
-      ingress_loop(client);
-      return;
-    }
-    turbine::ContextConfig ccfg;
-    ccfg.policy = rc.policy;
-    ccfg.restricted_os = rc.restricted_os;
-    ccfg.setup_interp = rc.setup_interp;
-    ccfg.setup_bindings = rc.setup_bindings;
-    ccfg.serve_output = [h](int64_t req, int rank, const std::string& text) {
-      h->emit(req, rank, text);
-    };
-    if (comm.rank() < engines) {
-      turbine::Engine engine(client);
-      ccfg.serve_complete = [h](turbine::RequestOutcome&& out) { h->complete(std::move(out)); };
-      turbine::Context ctx(client, &engine, ccfg);
-      ctx.run_engine("");
-      h->note_tcl(ctx.interp().compile_stats(), ctx.units_cached());
-    } else {
-      turbine::Context ctx(client, nullptr, ccfg);
-      ctx.run_worker();
-      h->note_tcl(ctx.interp().compile_stats(), ctx.units_cached());
-    }
-  };
-  world.run(body);
+  WorldPlan plan;
+  plan.ingress = [this](adlb::Client& client) { ingress_loop(client); };
+  plan.output = [h](int64_t req, int rank, const std::string& text) { h->emit(req, rank, text); };
+  plan.complete = [h](turbine::RequestOutcome&& out) { h->complete(std::move(out)); };
+  mpi::World world(world_size(cfg.runtime, plan));
+  runtime::RunResult totals = serve::run_world(world, cfg.runtime, plan);
+  ilps::LockGuard lock(h->mu);
+  h->world_totals = std::move(totals);
 }
 
 Service::Service(ServeConfig cfg) : impl_(std::make_unique<Impl>()) {
@@ -582,10 +511,7 @@ bool Service::entered() const { return impl_->entered.load(); }
 void Service::enter() {
   ilps::LockGuard lock(impl_->lifecycle_mu);
   if (impl_->entered.load()) return;
-  const runtime::Config& rc = impl_->cfg.runtime;
-  if (rc.engines < 1) throw Error("serve: at least one engine rank is required");
-  if (rc.workers < 1) throw Error("serve: at least one worker rank is required");
-  if (rc.servers < 1) throw Error("serve: at least one server rank is required");
+  check_roles(impl_->cfg.runtime);
   if (impl_->cfg.max_inflight < 1) throw Error("serve: max_inflight must be at least 1");
   if (impl_->cfg.telemetry.enabled()) {
     auto flusher = std::make_shared<obs::TelemetryFlusher>(impl_->cfg.telemetry);
@@ -627,7 +553,7 @@ RequestHandle Service::submit(const std::string& swift_source) {
   if (hub->inflight.size() >= impl_->cfg.max_inflight) {
     switch (impl_->cfg.admission) {
       case AdmissionPolicy::kReject: {
-        ++hub->rejected;
+        ++hub->counts.rejected;
         if (hub->m_rejected_ != nullptr) hub->m_rejected_->add();
         throw ServeError(ServeError::kOverloaded,
                          "serve: overloaded: " + std::to_string(hub->inflight.size()) +
@@ -650,7 +576,7 @@ RequestHandle Service::submit(const std::string& swift_source) {
         auto it = std::find_if(hub->commands.begin(), hub->commands.end(),
                                [](const Command& c) { return c.kind == Command::kSubmit; });
         if (it == hub->commands.end()) {
-          ++hub->rejected;
+          ++hub->counts.rejected;
           if (hub->m_rejected_ != nullptr) hub->m_rejected_->add();
           throw ServeError(ServeError::kOverloaded,
                            "serve: overloaded: every in-flight request is already running "
@@ -662,7 +588,7 @@ RequestHandle Service::submit(const std::string& swift_source) {
         victim->result.shed = true;
         victim->result.error =
             "serve: request <" + std::to_string(victim->id) + "> shed under overload";
-        ++hub->shed;
+        ++hub->counts.shed;
         if (hub->m_shed_ != nullptr) hub->m_shed_->add();
         hub->finish_locked(*victim, /*was_failure=*/true);
         break;
@@ -684,7 +610,7 @@ RequestHandle Service::submit(const std::string& swift_source) {
                                    entry->id);
   }
   hub->inflight.emplace(entry->id, entry);
-  ++hub->admitted;
+  ++hub->counts.admitted;
   if (hub->m_admitted_ != nullptr) hub->m_admitted_->add();
   if (hub->m_inflight_ != nullptr) {
     hub->m_inflight_->set(static_cast<double>(hub->inflight.size()));
@@ -760,23 +686,7 @@ uint64_t Service::datum_count() {
 }
 
 ServiceStats Service::stats() const {
-  std::shared_ptr<Hub> hub = impl_->hub;
-  ServiceStats s;
-  {
-    ilps::LockGuard lock(hub->mu);
-    s.admitted = hub->admitted;
-    s.rejected = hub->rejected;
-    s.shed = hub->shed;
-    s.completed = hub->completed;
-    s.failed = hub->failed;
-    s.inflight = hub->inflight.size();
-    s.slow_requests = hub->slow;
-    s.traced_requests = hub->traced;
-    s.tcl_compile_hits = hub->tcl_hits;
-    s.tcl_compile_misses = hub->tcl_misses;
-    s.tcl_compile_bailouts = hub->tcl_bailouts;
-    s.tcl_units_cached = hub->tcl_units;
-  }
+  ServiceStats s = impl_->hub->snapshot();
   s.programs_compiled = impl_->cache.compiled();
   s.program_cache_hits = impl_->cache.hits();
   return s;
@@ -793,37 +703,26 @@ std::string Service::status_json() const {
   // Snapshot the hub under its lock, then format and query the metrics
   // registry with the lock released (the telemetry flusher calls this
   // from its own thread; keep the lock scopes disjoint).
-  uint64_t admitted, rejected, shed, completed, failed, slow, traced, inflight;
-  uint64_t tcl_hits, tcl_misses, tcl_bailouts, tcl_units;
-  double uptime;
+  const double uptime = hub->clock.elapsed();
+  const ServiceStats st = stats();
   std::shared_ptr<obs::TelemetryFlusher> flusher;
   {
     ilps::LockGuard lock(hub->mu);
-    admitted = hub->admitted;
-    rejected = hub->rejected;
-    shed = hub->shed;
-    completed = hub->completed;
-    failed = hub->failed;
-    slow = hub->slow;
-    traced = hub->traced;
-    inflight = hub->inflight.size();
-    tcl_hits = hub->tcl_hits;
-    tcl_misses = hub->tcl_misses;
-    tcl_bailouts = hub->tcl_bailouts;
-    tcl_units = hub->tcl_units;
-    uptime = hub->clock.elapsed();
     flusher = hub->flusher;
   }
   std::ostringstream s;
   s << "{\"uptime_s\":" << obs::json_num(uptime);
-  s << ",\"inflight\":" << inflight;
-  s << ",\"admitted\":" << admitted << ",\"rejected\":" << rejected << ",\"shed\":" << shed;
-  s << ",\"completed\":" << completed << ",\"failed\":" << failed;
-  s << ",\"slow_requests\":" << slow << ",\"traced_requests\":" << traced;
-  s << ",\"programs_compiled\":" << impl_->cache.compiled();
-  s << ",\"program_cache_hits\":" << impl_->cache.hits();
-  s << ",\"tcl\":{\"compile_hits\":" << tcl_hits << ",\"compile_misses\":" << tcl_misses
-    << ",\"compile_bailouts\":" << tcl_bailouts << ",\"units_cached\":" << tcl_units << "}";
+  s << ",\"inflight\":" << st.inflight;
+  s << ",\"admitted\":" << st.admitted << ",\"rejected\":" << st.rejected
+    << ",\"shed\":" << st.shed;
+  s << ",\"completed\":" << st.completed << ",\"failed\":" << st.failed;
+  s << ",\"slow_requests\":" << st.slow_requests << ",\"traced_requests\":" << st.traced_requests;
+  s << ",\"programs_compiled\":" << st.programs_compiled;
+  s << ",\"program_cache_hits\":" << st.program_cache_hits;
+  s << ",\"tcl\":{\"compile_hits\":" << st.tcl_compile_hits
+    << ",\"compile_misses\":" << st.tcl_compile_misses
+    << ",\"compile_bailouts\":" << st.tcl_compile_bailouts
+    << ",\"units_cached\":" << st.tcl_units_cached << "}";
   if (obs::metrics_enabled()) {
     // Rolling-window latency percentiles: what the service is doing *now*,
     // not since boot.
@@ -869,156 +768,14 @@ std::string Service::status_json() const {
 // ---- batch mode ----
 
 runtime::RunResult Service::run_batch(const runtime::Config& cfg, const std::string& program) {
-  // The one-shot counterpart of the resident world. This mirrors the
-  // legacy runtime loop exactly: no ingress rank, no request tagging, no
-  // admission — the program's datums live in namespace 0, errors
-  // propagate as exceptions, and termination is the plain quiescence
-  // detection, so existing programs keep their output, stats, and error
-  // semantics to the message.
-  const bool has_main = program.find("proc swift:main") != std::string::npos;
-  if (cfg.engines < 1) throw Error("runtime: at least one engine rank is required");
-  if (cfg.workers < 1) throw Error("runtime: at least one worker rank is required");
-  if (cfg.servers < 1) throw Error("runtime: at least one server rank is required");
-
-  adlb::Config acfg = cfg.adlb();
-
-  runtime::RunResult result;
-  ilps::Mutex mu;  // guards result + pending across rank threads
-  std::string pending;  // partial line accumulator across emits
-  Timer timer;
-
-  auto sink = [&](int rank, const std::string& text) {
-    (void)rank;
-    ilps::LockGuard lock(mu);
-    if (cfg.echo_output) std::fwrite(text.data(), 1, text.size(), stdout);
-    pending += text;
-    size_t pos;
-    while ((pos = pending.find('\n')) != std::string::npos) {
-      result.lines.push_back(pending.substr(0, pos));
-      result.line_times.push_back(timer.elapsed());
-      pending.erase(0, pos + 1);
-    }
-  };
-  auto body = [&](mpi::Comm& comm) {
-    if (adlb::is_server(comm.rank(), comm.size(), acfg)) {
-      adlb::Server server(comm, acfg, nullptr);
-      server.serve();
-      ilps::LockGuard lock(mu);
-      const adlb::ServerStats& s = server.stats();
-      result.server_stats.puts += s.puts;
-      result.server_stats.gets += s.gets;
-      result.server_stats.matches += s.matches;
-      result.server_stats.forwards += s.forwards;
-      result.server_stats.hungry_notices += s.hungry_notices;
-      result.server_stats.batches_sent += s.batches_sent;
-      result.server_stats.units_rebalanced += s.units_rebalanced;
-      result.server_stats.steal_batches += s.steal_batches;
-      result.server_stats.steal_batch_units += s.steal_batch_units;
-      result.server_stats.notifications += s.notifications;
-      result.server_stats.data_ops += s.data_ops;
-      result.server_stats.tokens += s.tokens;
-      result.server_stats.leftover_data += s.leftover_data;
-      result.server_stats.stuck_datums += s.stuck_datums;
-      result.server_stats.requeues += s.requeues;
-      result.server_stats.task_failures += s.task_failures;
-      result.server_stats.heartbeat_deaths += s.heartbeat_deaths;
-      result.server_stats.checkpoints += s.checkpoints;
-      result.server_stats.replay_skips += s.replay_skips;
-      return;
-    }
-
-    adlb::Client client(comm, acfg);
-    turbine::ContextConfig ccfg;
-    ccfg.policy = cfg.policy;
-    ccfg.restricted_os = cfg.restricted_os;
-    ccfg.output = sink;
-    ccfg.setup_interp = cfg.setup_interp;
-    ccfg.setup_bindings = cfg.setup_bindings;
-
-    if (comm.rank() < cfg.engines) {
-      turbine::Engine engine(client);
-      turbine::Context ctx(client, &engine, ccfg);
-      std::string to_run;
-      if (has_main) {
-        ctx.interp().eval(program);
-        if (comm.rank() == 0) to_run = "swift:main";
-      } else if (comm.rank() == 0) {
-        to_run = program;
-      }
-      size_t unfired = ctx.run_engine(to_run);
-      std::vector<turbine::StuckRule> stuck;
-      if (unfired > 0) {
-        stuck = engine.stuck_report();
-        for (const auto& rule : stuck) {
-          obs::instant(obs::EventKind::kRuleStuck, rule.id,
-                       static_cast<int64_t>(rule.waiting.size()));
-        }
-      }
-      ilps::LockGuard lock(mu);
-      result.unfired_rules += unfired;
-      for (auto& rule : stuck) result.stuck.push_back(std::move(rule));
-      const turbine::EngineStats& es = engine.stats();
-      result.engine_stats.rules_created += es.rules_created;
-      result.engine_stats.rules_fired += es.rules_fired;
-      result.engine_stats.rules_fired_immediately += es.rules_fired_immediately;
-      result.engine_stats.notifications += es.notifications;
-      result.engine_stats.subscribes += es.subscribes;
-      const turbine::WorkerStats& ws = ctx.stats();
-      result.worker_stats.tasks += ws.tasks;
-      result.worker_stats.python_evals += ws.python_evals;
-      result.worker_stats.r_evals += ws.r_evals;
-      result.worker_stats.app_execs += ws.app_execs;
-      result.worker_stats.interpreter_resets += ws.interpreter_resets;
-      result.cache_stats += client.cache_stats();
-      result.pipeline_stats += client.pipeline_stats();
-      const tcl::Interp::CompileStats& cs = ctx.interp().compile_stats();
-      result.tcl_stats.hits += cs.hits;
-      result.tcl_stats.misses += cs.misses;
-      result.tcl_stats.bailouts += cs.bailouts;
-      result.tcl_units_cached += ctx.units_cached();
-    } else {
-      turbine::Context ctx(client, nullptr, ccfg);
-      if (has_main) ctx.interp().eval(program);
-      ctx.run_worker();
-      ilps::LockGuard lock(mu);
-      const turbine::WorkerStats& ws = ctx.stats();
-      result.worker_stats.tasks += ws.tasks;
-      result.worker_stats.python_evals += ws.python_evals;
-      result.worker_stats.r_evals += ws.r_evals;
-      result.worker_stats.app_execs += ws.app_execs;
-      result.worker_stats.interpreter_resets += ws.interpreter_resets;
-      result.cache_stats += client.cache_stats();
-      result.pipeline_stats += client.pipeline_stats();
-      const tcl::Interp::CompileStats& cs = ctx.interp().compile_stats();
-      result.tcl_stats.hits += cs.hits;
-      result.tcl_stats.misses += cs.misses;
-      result.tcl_stats.bailouts += cs.bailouts;
-      result.tcl_units_cached += ctx.units_cached();
-    }
-  };
-  mpi::World world(cfg.total_ranks());
-  try {
-    world.run(body);
-  } catch (const CommError& e) {
-    // Servers signal unrecoverable conditions by aborting the world with
-    // a marker; classify the resulting CommError into the typed errors
-    // callers key off.
-    const std::string msg = e.what();
-    if (msg.find("ilps-ft-restart:") != std::string::npos) throw RestartError(msg);
-    if (msg.find("ilps-task-failed:") != std::string::npos) throw TaskError(msg);
-    throw;
-  }
-  result.elapsed_seconds = timer.elapsed();
-  result.traffic = world.stats();
-  if (const obs::Session* session = world.obs_session()) {
-    result.trace = session->merged();
-  }
-  if (!pending.empty()) {
-    result.lines.push_back(pending);
-    result.line_times.push_back(result.elapsed_seconds);
-    pending.clear();
-  }
-  return result;
+  // No ingress rank, no request tagging, no admission: the program's
+  // datums live in namespace 0, errors propagate as exceptions, and
+  // termination is the plain quiescence detection.
+  WorldPlan plan;
+  plan.program = &program;
+  check_roles(cfg);
+  mpi::World world(world_size(cfg, plan));
+  return run_world(world, cfg, plan);
 }
 
 }  // namespace ilps::serve

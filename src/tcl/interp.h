@@ -26,6 +26,7 @@
 
 #include "common/error.h"
 #include "common/rng.h"
+#include "common/stats.h"
 #include "tcl/value.h"
 
 namespace ilps::tcl {
@@ -155,10 +156,12 @@ class Interp {
   // the compiler cannot prove equivalent become the unit's raw-source
   // `tail`, which exec hands back to eval() — the general path stays
   // authoritative.
+#define ILPS_TCL_COMPILE_STATS(X)                                              \
+  X(hits)     /* cached-unit reuses (proc bodies, action cache) */             \
+  X(misses)   /* units compiled */                                             \
+  X(bailouts) /* raw-source tail evaluations at exec time */
   struct CompileStats {
-    uint64_t hits = 0;      // cached-unit reuses (proc bodies, action cache)
-    uint64_t misses = 0;    // units compiled
-    uint64_t bailouts = 0;  // raw-source tail evaluations at exec time
+    ILPS_STAT_MEMBERS(CompileStats, "tcl.compile_", ILPS_TCL_COMPILE_STATS)
   };
   // Defaults to on; ILPS_TCL_COMPILE=0 in the environment restores the
   // pure-interpreter path bit-for-bit.

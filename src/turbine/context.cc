@@ -103,10 +103,8 @@ std::string Context::exec_action(const std::string& script) {
 }
 
 void Context::emit(const std::string& line) {
-  if (cfg_.serve_output) {
-    cfg_.serve_output(cur_req_, client_.rank(), line);
-  } else if (cfg_.output) {
-    cfg_.output(client_.rank(), line);
+  if (cfg_.output) {
+    cfg_.output(cur_req_, client_.rank(), line);
   } else {
     std::fwrite(line.data(), 1, line.size(), stdout);
   }
@@ -638,7 +636,7 @@ void Context::run_worker() {
       // server for retry; under serve it fails only its own request;
       // otherwise it fails the run as before.
       end_task();
-      if (cfg_.ft) {
+      if (client_.config().ft) {
         client_.task_failed(*unit, e.what());
         account_busy();
         continue;

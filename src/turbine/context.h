@@ -19,6 +19,7 @@
 
 #include "adlb/client.h"
 #include "blob/blob.h"
+#include "common/stats.h"
 #include "python/interp.h"
 #include "rlang/interp.h"
 #include "tcl/interp.h"
@@ -28,22 +29,24 @@ namespace ilps::turbine {
 
 enum class InterpPolicy { kRetain, kReinitialize };
 
+#define ILPS_WORKER_STATS(X)                                                   \
+  X(tasks)                                                                     \
+  X(python_evals)                                                              \
+  X(r_evals)                                                                   \
+  X(app_execs)                                                                 \
+  X(interpreter_resets)
+
 struct WorkerStats {
-  uint64_t tasks = 0;
-  uint64_t python_evals = 0;
-  uint64_t r_evals = 0;
-  uint64_t app_execs = 0;
-  uint64_t interpreter_resets = 0;
+  ILPS_STAT_MEMBERS(WorkerStats, "worker.", ILPS_WORKER_STATS)
 };
 
 struct ContextConfig {
   InterpPolicy policy = InterpPolicy::kRetain;
   bool restricted_os = false;
-  // Fault tolerance: a worker whose leaf task throws reports it to the
-  // server (Op::kTaskFailed) for retry instead of failing the run.
-  bool ft = false;
   // Sink for puts/printf/python-print/R-cat output (defaults to stdout).
-  std::function<void(int rank, const std::string& line)> output;
+  // `req` is the serve request the emitting task belongs to (0 = output
+  // outside any request, which is all output of a batch run).
+  std::function<void(int64_t req, int rank, const std::string& line)> output;
   // Hook to register user packages / extra commands into the rank's
   // interpreter (static packages, script loaders, ...).
   std::function<void(tcl::Interp&)> setup_interp;
@@ -59,10 +62,6 @@ struct ContextConfig {
   // send done/fail notices instead of throwing, so one request's error
   // never poisons the resident runtime.
   std::function<void(RequestOutcome&&)> serve_complete;
-  // Per-request output sink: receives the request the emitting task
-  // belongs to (0 = output outside any request). Takes precedence over
-  // `output` when set.
-  std::function<void(int64_t req, int rank, const std::string& line)> serve_output;
 };
 
 class Context {

@@ -1,10 +1,39 @@
 #include "turbine/engine.h"
 
 #include <algorithm>
+#include <sstream>
 
 #include "obs/trace.h"
 
 namespace ilps::turbine {
+
+std::string stuck_message(const std::string& subject, uint64_t unfired,
+                          const std::vector<StuckRule>& stuck) {
+  std::ostringstream out;
+  out << "deadlock: " << subject << " terminated with " << unfired
+      << " rule(s) still waiting on unset futures";
+  constexpr size_t kMaxShown = 8;
+  size_t shown = 0;
+  for (const auto& rule : stuck) {
+    if (shown++ == kMaxShown) {
+      out << "\n  ... and " << (stuck.size() - kMaxShown) << " more rule(s)";
+      break;
+    }
+    out << "\n  rule <" << rule.id << "> waiting on";
+    if (rule.waiting.empty()) out << " unknown inputs";
+    for (const auto& input : rule.waiting) {
+      out << " ";
+      if (!input.name.empty()) {
+        out << "\"" << input.name << "\" (line " << input.line << ", datum <" << input.id
+            << ">)";
+      } else {
+        out << "datum <" << input.id << ">";
+      }
+    }
+  }
+  out << "\n  hint: `ilps --lint` reports statically provable deadlocks";
+  return out.str();
+}
 
 Engine::RequestState& Engine::state(int64_t req) { return requests_[req]; }
 

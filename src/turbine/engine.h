@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "adlb/client.h"
+#include "common/stats.h"
 
 namespace ilps::turbine {
 
@@ -43,12 +44,15 @@ enum class TaskType {
   kLocal = -1,                   // immediately, on this engine
 };
 
+#define ILPS_ENGINE_STATS(X)                                                   \
+  X(rules_created)                                                             \
+  X(rules_fired)                                                               \
+  X(rules_fired_immediately) /* all inputs already closed */                   \
+  X(notifications)                                                             \
+  X(subscribes)
+
 struct EngineStats {
-  uint64_t rules_created = 0;
-  uint64_t rules_fired = 0;
-  uint64_t rules_fired_immediately = 0;  // all inputs already closed
-  uint64_t notifications = 0;
-  uint64_t subscribes = 0;
+  ILPS_STAT_MEMBERS(EngineStats, "engine.", ILPS_ENGINE_STATS)
 };
 
 // One unset datum a stuck rule is waiting on. `name`/`line` come from the
@@ -66,6 +70,12 @@ struct StuckRule {
   std::string action;  // the MiniTcl action that never ran
   std::vector<StuckInput> waiting;
 };
+
+// The DeadlockError text for a stuck-future report: `subject` ("program",
+// "request <7>") terminated with `unfired` rules pending; the first few
+// rules are listed with the datums (and source names) they waited on.
+std::string stuck_message(const std::string& subject, uint64_t unfired,
+                          const std::vector<StuckRule>& stuck);
 
 // A locally released action awaiting evaluation on this engine, tagged
 // with the request it belongs to (0 = none).

@@ -224,9 +224,7 @@ TEST(DatumCache, BlobViewIsZeroCopyWithCowDetach) {
 // deletion's (id, epoch) invalidation piggybacks on server replies and,
 // because the writer only announces round r+1 after the delete, it
 // reaches every reader before the new round's task does. Run under TSAN.
-TEST(DatumCache, NoStaleReadAcrossIdReuse) {
-  const int kReaders = 3;
-  const int kRounds = 25;
+void expect_no_stale_read_across_id_reuse(int kReaders, int kRounds) {
   const int64_t id = 777;
   std::mutex mu;
   DataCacheStats total;
@@ -272,6 +270,12 @@ TEST(DatumCache, NoStaleReadAcrossIdReuse) {
   EXPECT_EQ(total.hits, static_cast<uint64_t>(kReaders) * kRounds);
   EXPECT_GE(total.invalidations, static_cast<uint64_t>(kReaders) * (kRounds - 1));
 }
+
+TEST(DatumCache, NoStaleReadAcrossIdReuse) { expect_no_stale_read_across_id_reuse(3, 25); }
+
+// One reader through three incarnations of the same id: each GC notice
+// drops exactly the entry cached from its own incarnation.
+TEST(DatumCache, RecreateSameIdThreeTimes) { expect_no_stale_read_across_id_reuse(1, 3); }
 
 // End to end: the runner sums per-rank cache stats and a Turbine program
 // that re-reads a datum produces hits (zero when the cache is off, with

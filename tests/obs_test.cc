@@ -8,7 +8,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/timer.h"
@@ -577,4 +579,55 @@ TEST(ObsMetrics, ConcurrentWindowHistogramRotation) {
   // Whatever remains is at most one window of the most recent records.
   (void)w.snapshot();
   SUCCEED();
+}
+
+// Stat drift: every field of every declared stat list reaches the metrics
+// registry under its layer prefix with exactly the value RunResult carries,
+// after a batch run and after a fault-tolerant run of the same program.
+namespace {
+void expect_stats_published(const runtime::RunResult& r) {
+  const std::vector<std::pair<std::string, uint64_t>> registry = obs::metrics().counters();
+  auto check = [&](const auto& stats) {
+    const std::string prefix(stats.kMetricPrefix);
+    const std::string layer = prefix.substr(0, prefix.find('.') + 1);
+    EXPECT_TRUE(layer == "adlb." || layer == "engine." || layer == "worker." ||
+                layer == "tcl." || layer == "mpi.")
+        << prefix;
+    stats.for_each([&](std::string_view name, uint64_t value) {
+      const std::string metric = prefix + std::string(name);
+      auto it = std::find_if(registry.begin(), registry.end(),
+                             [&](const auto& entry) { return entry.first == metric; });
+      ASSERT_NE(it, registry.end()) << metric << " is not in the registry";
+      EXPECT_EQ(it->second, value) << metric;
+    });
+  };
+  check(r.server_stats);
+  check(r.cache_stats);
+  check(r.pipeline_stats);
+  check(r.engine_stats);
+  check(r.worker_stats);
+  check(r.tcl_stats);
+  check(r.traffic);
+  // The aggregate is real, not a table of zeros.
+  EXPECT_GT(r.server_stats.puts, 0u);
+  EXPECT_GT(r.engine_stats.rules_fired, 0u);
+  EXPECT_GT(r.worker_stats.tasks, 0u);
+  EXPECT_GT(r.tcl_stats.misses, 0u);
+  EXPECT_GT(r.traffic.messages, 0u);
+}
+}  // namespace
+
+TEST(ObsMetrics, EveryDeclaredStatIsPublished) {
+  const bool prev = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+  runtime::Config cfg;
+  cfg.engines = 1;
+  cfg.workers = 2;
+  cfg.servers = 1;
+  const runtime::RunResult batch = runtime::run_program(cfg, kSmallProgram);
+  expect_stats_published(batch);
+  const runtime::RunResult ft = runtime::run_with_faults(cfg, kSmallProgram);
+  EXPECT_EQ(ft.ft.attempts, 1);
+  expect_stats_published(ft);
+  obs::set_metrics_enabled(prev);
 }

@@ -516,5 +516,23 @@ TEST_F(PyTest, MonteCarloFragment) {
   EXPECT_LT(pi, 3.5);
 }
 
+// A function keeps the AST that defines it alive, not the latest eval's:
+// a closure made by calling a function defined in eval 1 (from eval N)
+// still runs after every other reference to eval 1's code is gone.
+TEST_F(PyTest, FunctionsOutliveTheirDefiningEval) {
+  ev("def outer(k):\n"
+     "    def inner(x, k=k):\n"
+     "        return x + k\n"
+     "    return inner\n"
+     "add3 = outer(3)\n"
+     "sq = lambda v: v * v\n");
+  for (int i = 0; i < 20; ++i) ev("junk = [j * " + std::to_string(i) + " for j in range(10)]");
+  ev("add10 = outer(10)");
+  EXPECT_EQ(ex("add3(4)"), "7");
+  ev("outer = None\nadd3 = None");
+  EXPECT_EQ(ex("add10(1)"), "11");
+  EXPECT_EQ(ex("sq(5)"), "25");
+}
+
 }  // namespace
 }  // namespace ilps::py

@@ -372,5 +372,20 @@ TEST_F(RTest, StatsFragment) {
   EXPECT_EQ(ev2("", "res$n"), "500");
 }
 
+// A closure keeps the AST that defines it alive, not the latest eval's:
+// one made by calling a function defined in eval 1 (from eval N) still
+// runs after every other reference to eval 1's code is gone.
+TEST_F(RTest, ClosuresOutliveTheirDefiningEval) {
+  ev("make_adder <- function(k) function(x) x + k\n"
+     "add3 <- make_adder(3)\n"
+     "sq <- function(v, w = function(u) u * u) w(v)\n");
+  for (int i = 0; i < 20; ++i) ev("junk <- c(1, 2, 3) * " + std::to_string(i));
+  ev("add10 <- make_adder(10)");
+  EXPECT_EQ(ev2("", "add3(4)"), "7");
+  ev("make_adder <- NULL\nadd3 <- NULL");
+  EXPECT_EQ(ev2("", "add10(1)"), "11");
+  EXPECT_EQ(ev2("", "sq(5)"), "25");
+}
+
 }  // namespace
 }  // namespace ilps::r
