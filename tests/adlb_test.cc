@@ -417,12 +417,19 @@ TEST(AdlbData, PipelinedOpsVisibleAcrossClients) {
 
 // ---- property sweep: work conservation under random workloads ----
 
+// gtest names each case by the parameter's raw bytes, so the four bytes the
+// compiler would leave as padding before `seed` are an explicit zeroed field:
+// uninitialized padding made the case names differ from build to build.
 struct SweepParam {
+  SweepParam(int c, int s, int t, uint64_t sd)
+      : nclients(c), nservers(s), tasks_per_client(t), seed(sd) {}
   int nclients;
   int nservers;
   int tasks_per_client;
+  int32_t zero_pad = 0;
   uint64_t seed;
 };
+static_assert(sizeof(SweepParam) == 24, "SweepParam must have no hidden padding");
 
 class AdlbSweep : public ::testing::TestWithParam<SweepParam> {};
 
