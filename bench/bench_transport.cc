@@ -8,6 +8,10 @@
 //    ADLB server's recv loop is the wildcard case);
 //  - barrier: collective rounds/s (shared-memory sense-reversing barrier).
 //
+// Every row carries its rank count, the spin-then-park tallies
+// (spin_hits, spin_ns) and the host shape (nproc = usable CPUs, build
+// type): a row whose ranks exceed nproc must show no spin at all.
+//
 // One-way flows (stream, fan-in) recycle consumed buffers back to the
 // *origin* rank: there is no reply message to carry the buffer home, so
 // without recycle(Message&&) the sender allocates every message while the
@@ -166,10 +170,9 @@ CaseResult run_barriers(int ranks, int rounds) {
   return {elapsed, w.stats()};
 }
 
-void emit(const char* name, const CaseResult& r, int units, const char* unit_name,
-          std::initializer_list<std::pair<const char*, int64_t>> params = {}) {
+void emit(const char* name, const CaseResult& r, int units, const char* unit_name, int ranks) {
   bench::JsonLine j("transport_" + std::string(name));
-  for (const auto& [k, v] : params) j.add(k, v);
+  j.add("ranks", ranks).add("nproc", mpi::usable_cpus()).add_str("build_type", ILPS_BENCH_BUILD_TYPE);
   j.add(unit_name, units)
       .add("elapsed_s", r.elapsed)
       .add("rate_per_s", units / r.elapsed)
@@ -180,6 +183,8 @@ void emit(const char* name, const CaseResult& r, int units, const char* unit_nam
       .add("pool_misses", r.stats.pool_misses)
       .add("barrier_fastpath", r.stats.barrier_fastpath)
       .add("collective_wakeups", r.stats.collective_wakeups)
+      .add("spin_hits", r.stats.spin_hits)
+      .add("spin_ns", r.stats.spin_ns)
       .print();
 }
 
@@ -204,14 +209,15 @@ int main() {
   {
     const int rounds = 20000;
     CaseResult r = run_pingpong(rounds);
-    emit("pingpong", r, rounds, "roundtrips");
+    emit("pingpong", r, rounds, "roundtrips", 2);
     bench::Table t({"case", "rounds", "elapsed_s", "roundtrips/s", "wakeups", "suppressed",
-                    "pool_hit%"});
+                    "spin_hits", "pool_hit%"});
     double hit = 100.0 * static_cast<double>(r.stats.pool_hits) /
                  static_cast<double>(r.stats.pool_hits + r.stats.pool_misses);
     t.row({"pingpong", std::to_string(rounds), bench::fmt("%.3f", r.elapsed),
            bench::fmt("%.0f", rounds / r.elapsed), std::to_string(r.stats.wakeups),
-           std::to_string(r.stats.wakeups_suppressed), bench::fmt("%.1f%%", hit)});
+           std::to_string(r.stats.wakeups_suppressed), std::to_string(r.stats.spin_hits),
+           bench::fmt("%.1f%%", hit)});
     t.print();
   }
 
@@ -220,7 +226,7 @@ int main() {
     bench::Table t({"case", "msgs", "elapsed_s", "msgs/s", "pool_hits", "pool_misses"});
     for (bool pooled : {false, true}) {
       CaseResult r = run_stream(count, pooled);
-      emit(pooled ? "stream_pooled" : "stream_copy", r, count, "msgs");
+      emit(pooled ? "stream_pooled" : "stream_copy", r, count, "msgs", 2);
       if (pooled) require_steady_state_hits("stream_pooled", r);
       t.row({pooled ? "stream pooled" : "stream copy", std::to_string(count),
              bench::fmt("%.3f", r.elapsed), bench::fmt("%.0f", count / r.elapsed),
@@ -237,8 +243,7 @@ int main() {
       for (bool wildcard : {false, true}) {
         CaseResult r = run_fan_in(ranks, per_sender, wildcard);
         int total = (ranks - 1) * per_sender;
-        emit(wildcard ? "fanin_wildcard" : "fanin_exact", r, total, "msgs",
-             {{"ranks", ranks}});
+        emit(wildcard ? "fanin_wildcard" : "fanin_exact", r, total, "msgs", ranks);
         require_steady_state_hits(wildcard ? "fanin_wildcard" : "fanin_exact", r);
         t.row({wildcard ? "fan-in wildcard" : "fan-in exact", std::to_string(ranks),
                std::to_string(total), bench::fmt("%.3f", r.elapsed),
@@ -256,7 +261,7 @@ int main() {
     bench::Table t({"case", "ranks", "rounds", "elapsed_s", "barriers/s"});
     for (int ranks : {2, 4, 8, 16}) {
       CaseResult r = run_barriers(ranks, rounds);
-      emit("barrier", r, rounds, "rounds", {{"ranks", ranks}});
+      emit("barrier", r, rounds, "rounds", ranks);
       t.row({"barrier", std::to_string(ranks), std::to_string(rounds),
              bench::fmt("%.3f", r.elapsed), bench::fmt("%.0f", rounds / r.elapsed)});
     }

@@ -34,6 +34,7 @@ void write_work_unit(ser::Writer& w, const WorkUnit& unit) {
   w.put_str(unit.payload);
   w.put_i64(unit.id);
   w.put_i32(unit.attempts);
+  w.put_i64(unit.order);
   w.put_i64(unit.req);
   w.put_i32(unit.owner);
   w.put_i64(unit.prog);
@@ -49,6 +50,7 @@ WorkUnit read_work_unit(ser::Reader& r) {
   unit.payload = r.get_str();
   unit.id = r.get_i64();
   unit.attempts = r.get_i32();
+  unit.order = r.get_i64();
   unit.req = r.get_i64();
   unit.owner = r.get_i32();
   unit.prog = r.get_i64();

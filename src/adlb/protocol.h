@@ -124,6 +124,8 @@ struct WorkUnit {
   int64_t id = 0;          // server-assigned identity (0 = not yet assigned);
                            // names the unit in retry bookkeeping and errors
   int attempts = 0;        // delivery attempts so far (fault tolerance)
+  int64_t order = 0;       // age among equal priorities: the releasing
+                           // rule's creation number (0 = unstamped, oldest)
 
   // ---- serve-runtime request tagging (src/serve; all zero outside it) ----
   int64_t req = 0;         // request this unit belongs to (0 = none)

@@ -319,7 +319,7 @@ void Server::accept_unit(WorkUnit unit) {
     return;
   }
   untargeted_[static_cast<size_t>(unit.type)].emplace(
-      std::make_pair(-unit.priority, seq_++), unit);
+      std::make_tuple(-unit.priority, unit.order, seq_++), unit);
 }
 
 void Server::deliver(int client, const WorkUnit& unit) {

@@ -29,6 +29,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -201,7 +202,10 @@ class Server {
 
   // Work state.
   int64_t seq_ = 0;
-  std::vector<std::map<std::pair<int, int64_t>, WorkUnit>> untargeted_;  // [type]{(-prio,seq)}
+  // [type]{(-prio, order, seq)}: priority first, then the oldest rule (so
+  // a point's later stages run ahead of later points' first stages), then
+  // arrival.
+  std::vector<std::map<std::tuple<int, int64_t, int64_t>, WorkUnit>> untargeted_;
   std::map<std::pair<int, int>, std::deque<WorkUnit>> targeted_;        // (rank, type)
   std::vector<std::deque<int>> parked_;                                  // [type] client ranks
   std::unordered_map<int, int> parked_clients_;  // client -> type it waits for

@@ -48,7 +48,7 @@ char letter(Level level) {
 }  // namespace
 
 namespace detail {
-thread_local int64_t t_request = 0;
+constinit thread_local int64_t t_request = 0;
 }  // namespace detail
 
 Level level() {

@@ -27,8 +27,11 @@ int thread_rank();
 // [ilps 0.123s r3 req17 W]. 0 means "no request" and drops the field.
 // obs::RequestScope sets/restores this around request-attributed work;
 // the tracer stamps it into every event, so the accessors are inline.
+// constinit: the slot has no dynamic initializer, so every translation
+// unit touches it directly instead of through a TLS init wrapper (whose
+// weak, possibly-null init hook GCC's UBSAN reported as a null store).
 namespace detail {
-extern thread_local int64_t t_request;
+extern constinit thread_local int64_t t_request;
 }  // namespace detail
 
 inline void set_thread_request(int64_t req) { detail::t_request = req; }

@@ -18,6 +18,7 @@
 // thread-backed transport.
 #pragma once
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -147,7 +148,16 @@ struct Message {
 // condition variable; `collective_wakeups` counts the notify episodes the
 // barrier releaser had to issue (each one wakes every sleeper at once,
 // replacing the per-edge message wakeups of the old binomial tree).
-#define ILPS_TRAFFIC_STATS(X)                                                  \
+//
+// Spin-then-park: a blocking wait (recv, timed recv, barrier) spins for
+// an adaptive budget before it parks. `spin_hits` counts waits the spin
+// satisfied; `spin_ns` is the time spent spinning, hits and misses, i.e.
+// the CPU the spin costs. Both stay zero in a world with more ranks than
+// usable CPUs, which never busy-spins.
+//
+// The spin tallies are kept per rank, so a spinning rank never writes a
+// cache line its peers write too; the others are world-wide.
+#define ILPS_WORLD_TRAFFIC_STATS(X)                                            \
   X(messages)                                                                  \
   X(bytes)                                                                     \
   X(wakeups)                                                                   \
@@ -156,12 +166,18 @@ struct Message {
   X(pool_misses)                                                               \
   X(barrier_fastpath)                                                          \
   X(collective_wakeups)
+#define ILPS_RANK_TRAFFIC_STATS(X) X(spin_hits) X(spin_ns)
+#define ILPS_TRAFFIC_STATS(X) ILPS_WORLD_TRAFFIC_STATS(X) ILPS_RANK_TRAFFIC_STATS(X)
 
 struct TrafficStats {
   ILPS_STAT_MEMBERS(TrafficStats, "mpi.", ILPS_TRAFFIC_STATS)
 };
 
 class World;
+
+// CPUs this process may run on (sched_getaffinity). A World with more
+// ranks than this never busy-spins in a blocking wait.
+int usable_cpus();
 
 // A rank's handle to the world. Each rank thread receives its own Comm;
 // Comm objects must not be shared across rank threads.
@@ -276,11 +292,18 @@ class World {
  private:
   friend class Comm;
   struct Mailbox;
+  class SpinWait;  // spin half of every blocking wait (world.cc)
+
+  using Deadline = std::chrono::steady_clock::time_point;
 
   void post(int source, int dest, int tag, std::vector<std::byte>&& data);
   void post(int source, int dest, int tag, std::span<const std::byte> data);
-  Message wait_match(int self, int source, int tag);
-  std::optional<Message> wait_match_for(int self, int source, int tag, double seconds);
+  // The one blocking receive: spin-then-park until a message matching
+  // (source, tag) arrives; with a deadline, nullopt once it passes.
+  std::optional<Message> wait_match(int self, int source, int tag, const Deadline* deadline);
+  Message wait_match(int self, int source, int tag) {
+    return *wait_match(self, source, tag, nullptr);
+  }
   std::optional<Message> match_now(int self, int source, int tag);
   bool probe(int self, int source, int tag, int* out_source, int* out_tag);
   // The one matching routine (owner thread only, after draining the
@@ -305,6 +328,7 @@ class World {
   bool doomed(int rank) const;
 
   int size_;
+  bool busy_spin_;  // size_ <= usable_cpus(): blocking waits may busy-spin
   std::vector<std::unique_ptr<Mailbox>> boxes_;
   std::unique_ptr<struct WorldState> state_;
   std::unique_ptr<obs::Session> obs_;

@@ -1,3 +1,6 @@
+#include <sched.h>
+
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <string>
@@ -25,10 +28,20 @@ constexpr int kTagGather = kMaxUserTag + 5;
 // Send-buffer freelist cap, shared by the owner pool and the return box.
 constexpr size_t kMaxPooled = 64;
 
-// Bounded yield-spin before a barrier waiter sleeps on the condition
-// variable. Ranks are threads (often oversubscribed on few cores), so the
-// spin must yield the CPU rather than burn it.
-constexpr int kBarrierSpins = 32;
+// Adaptive spin budget of a blocking wait (see SpinWait): never more than
+// the cap, and a budget halved below the floor collapses to zero.
+constexpr int64_t kSpinCapNs = 50'000;
+constexpr int64_t kSpinFloorNs = 500;
+
+// Tells the core it is in a spin-wait: frees pipeline resources for the
+// sibling hyperthread and avoids the memory-order flush on loop exit.
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield" ::: "memory");
+#endif
+}
 
 // Wildcard semantics: ANY_TAG covers user tags only, so a plain recv can
 // never swallow a collective payload or a death notice racing past it;
@@ -114,25 +127,47 @@ struct World::Mailbox {
   ilps::Mutex ret_mu;
   std::vector<std::vector<std::byte>> returns ILPS_GUARDED_BY(ret_mu);
 
+  // Owner thread only: the drain's swap partner, which hands its
+  // capacity back to the lane it empties (so producers do not reallocate
+  // after every drain), and this rank's adaptive spin budget.
+  std::vector<Item> spare;
+  int64_t spin_budget_ns = kSpinCapNs;
+
+  // This rank's spin tallies (written by the owner only; World::stats()
+  // sums them over the ranks).
+#define ILPS_RELAXED_FIELD_(name) ilps::RelaxedCounter name;
+  ILPS_RANK_TRAFFIC_STATS(ILPS_RELAXED_FIELD_)
+#undef ILPS_RELAXED_FIELD_
+
   // Owner thread only: move staged items into the private buckets.
   void drain() {
     for (auto& lp : lanes) {
       Lane& lane = *lp;
       if (!lane.has_items.load(std::memory_order_seq_cst)) continue;
-      std::vector<Item> got;
       {
         ilps::LockGuard lock(lane.mu);
-        got.swap(lane.staged);
+        spare.swap(lane.staged);
         // ordering: relaxed is enough — the flag only changes inside
         // lane.mu's critical section here, and a producer that races the
         // clear re-stores true (seq_cst) after its push under the same
         // lock, so no set flag is ever lost.
         lane.has_items.store(false, std::memory_order_relaxed);
       }
-      for (auto& it : got) {
+      for (auto& it : spare) {
         buckets[key(it.msg.source, it.msg.tag)].q.push_back(std::move(it));
       }
+      spare.clear();
     }
+  }
+
+  // Spin poll: whether a lane a (source, *) envelope can match from has
+  // staged items. Only the expected sender's lane for an exact source.
+  bool staged(int source) const {
+    // ordering: relaxed — a hint only; drain() re-reads the flag (seq_cst)
+    // and takes the lane lock before it touches any item.
+    const auto flag = [](const Lane& l) { return l.has_items.load(std::memory_order_relaxed); };
+    if (source != ANY_SOURCE) return flag(*lanes[static_cast<size_t>(source)]);
+    return std::any_of(lanes.begin(), lanes.end(), [&](const auto& l) { return flag(*l); });
   }
 };
 
@@ -154,21 +189,23 @@ struct WorldState {
 
   // Traffic / wakeup / pool tallies: pure stats, no protocol reads them.
 #define ILPS_RELAXED_FIELD_(name) ilps::RelaxedCounter name;
-  ILPS_TRAFFIC_STATS(ILPS_RELAXED_FIELD_)
+  ILPS_WORLD_TRAFFIC_STATS(ILPS_RELAXED_FIELD_)
 #undef ILPS_RELAXED_FIELD_
 
   // Sense-reversing shared-memory barrier. Ranks are threads in one
   // process, so a barrier needs no messages at all: arrive on an atomic
   // counter, the last arriver flips the generation, everyone else
-  // yield-spins briefly and then sleeps on one condition variable. The
+  // spins (SpinWait) and then sleeps on one condition variable. The
   // sleeper count and the generation flip form a Dekker pair (both
   // seq_cst), so the releaser either sees the sleeper (and notifies under
   // the mutex) or the sleeper's predicate sees the new generation. The
   // atomics are read outside bar.mu by design and must not be GUARDED_BY.
+  // The spun-on generation word has a cache line of its own, so arrivals
+  // do not invalidate the spinners' copy.
   struct BarrierSync {
     ilps::Atomic<int> arrived{0};
-    ilps::Atomic<uint64_t> generation{0};
-    ilps::Atomic<int> sleepers{0};
+    alignas(64) ilps::Atomic<uint64_t> generation{0};
+    alignas(64) ilps::Atomic<int> sleepers{0};
     ilps::Mutex mu;
     ilps::CondVar cv;
   };
@@ -187,7 +224,113 @@ struct WorldState {
   int parked_faulty ILPS_GUARDED_BY(fin_mutex) = 0;
 };
 
-World::World(int size) : size_(size), state_(std::make_unique<WorldState>()) {
+// Spin-then-park, the spin half: one per blocking wait (recv, timed recv,
+// barrier), run between the first failed match and the park protocol,
+// which it leaves untouched. spin() polls the caller's cheap `ready`
+// check until it holds (true: the caller re-checks for real and may call
+// again with what is left of the budget) or the budget is spent (false:
+// the caller parks). finish() closes the wait and adapts the rank's
+// budget:
+//  - a wait the spin satisfied after w ns moves the budget to
+//    max(4w, 7/8 of the old budget), capped at kSpinCapNs;
+//  - a parked wait that still ended within the cap would have been a hit
+//    with a larger budget, so it moves the budget the same way;
+//  - any other parked wait halves it, down to zero below kSpinFloorNs, so
+//    a rank idling in a long wait (a worker in ADLB get) stops spinning.
+// The spin is pure (CPU-relax polls) for its first kPureSpin, then yields
+// between polls so a loaded host's runnable threads get the CPU. A world
+// with more ranks than usable CPUs never busy-spins: its receives skip
+// the spin and its barrier only yield-polls, uncounted; mpi.spin_hits /
+// mpi.spin_ns count the busy spins.
+class World::SpinWait {
+ public:
+  using Clock = std::chrono::steady_clock;
+
+  SpinWait(Mailbox& box, bool busy, const Clock::time_point* deadline)
+      : box_(box), busy_(busy), deadline_(deadline) {}
+
+  template <typename Ready>
+  bool spin(Ready&& ready) {
+    Clock::time_point now = Clock::now();
+    if (!started_) {
+      started_ = true;
+      start_ = now;
+      end_ = now + std::chrono::nanoseconds(box_.spin_budget_ns);
+      if (deadline_ != nullptr && *deadline_ < end_) end_ = *deadline_;
+      yields_left_ = box_.spin_budget_ns / kYieldChargeNs;
+    }
+    if (busy_) {
+      for (; now < end_; now = Clock::now()) {
+        if (now - start_ >= kPureSpin) {
+          // Past the pure spin: keep polling, but let a runnable thread
+          // (the peer we wait for, or anyone's work when the host is
+          // loaded) have the CPU between polls.
+          if (ready()) return true;
+          std::this_thread::yield();
+          continue;
+        }
+        // A few polls per clock read keep the poll loop tight.
+        for (int i = 0; i < kPollsPerClockRead; ++i) {
+          if (ready()) return true;
+          cpu_relax();
+        }
+      }
+      return false;
+    }
+    // Oversubscribed (the barrier only): yield to the ranks that share the
+    // CPUs. A yield is charged a fixed slice of the budget, not the wall
+    // time it takes, since that time is spent running those ranks.
+    for (; yields_left_ > 0; --yields_left_) {
+      if (ready()) return true;
+      std::this_thread::yield();
+    }
+    return false;
+  }
+
+  // The wait is over; `parked` says whether it went on to the park path.
+  void finish(bool parked) {
+    if (!started_) return;  // matched at once: there was no wait
+    const int64_t waited =
+        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - start_).count();
+    if (busy_) {
+      const int64_t spun =
+          parked ? std::chrono::duration_cast<std::chrono::nanoseconds>(end_ - start_).count()
+                 : waited;
+      box_.spin_ns.add(static_cast<uint64_t>(std::max<int64_t>(spun, 0)));
+      if (!parked) box_.spin_hits.add(1);
+    }
+    int64_t& budget = box_.spin_budget_ns;
+    if (!parked || waited < kSpinCapNs) {
+      budget = std::min(kSpinCapNs, std::max(4 * waited, budget - budget / 8));
+    } else {
+      budget /= 2;
+      if (budget < kSpinFloorNs) budget = 0;
+    }
+  }
+
+ private:
+  static constexpr int kPollsPerClockRead = 8;
+  static constexpr std::chrono::nanoseconds kPureSpin{5'000};
+  static constexpr int64_t kYieldChargeNs = 1'000;
+
+  Mailbox& box_;
+  const bool busy_;
+  const Clock::time_point* deadline_;
+  bool started_ = false;
+  Clock::time_point start_;
+  Clock::time_point end_;
+  int64_t yields_left_ = 0;
+};
+
+int usable_cpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof set, &set) == 0) return std::max(1, CPU_COUNT(&set));
+  return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+}
+
+World::World(int size)
+    : size_(size), busy_spin_(size <= usable_cpus()), state_(std::make_unique<WorldState>()) {
   if (size <= 0) throw CommError("world size must be positive");
   boxes_.reserve(static_cast<size_t>(size));
   for (int i = 0; i < size; ++i) {
@@ -276,8 +419,13 @@ void World::run(const std::function<void(Comm&)>& rank_main) {
 TrafficStats World::stats() const {
   TrafficStats t;
 #define ILPS_LOAD_FIELD_(name) t.name = state_->name.load();
-  ILPS_TRAFFIC_STATS(ILPS_LOAD_FIELD_)
+  ILPS_WORLD_TRAFFIC_STATS(ILPS_LOAD_FIELD_)
 #undef ILPS_LOAD_FIELD_
+#define ILPS_SUM_FIELD_(name) t.name += box->name.load();
+  for (const auto& box : boxes_) {
+    ILPS_RANK_TRAFFIC_STATS(ILPS_SUM_FIELD_)
+  }
+#undef ILPS_SUM_FIELD_
   return t;
 }
 
@@ -383,18 +531,26 @@ std::optional<Message> World::match_now(int self, int source, int tag) {
   return take_now(box, source, tag);
 }
 
-Message World::wait_match(int self, int source, int tag) {
+// The one blocking receive: drain and match, spin, then park on the
+// eventcount. A deadline bounds the spin and the park (recv_for).
+std::optional<Message> World::wait_match(int self, int source, int tag,
+                                         const Deadline* deadline) {
   Mailbox& box = *boxes_[static_cast<size_t>(self)];
-  const bool is_doomed = doomed(self);
-  bool parked = false;
+  // Only an unbounded recv can wait forever on a dropped request; a timed
+  // one (the ADLB server's heartbeat poll) keeps its own schedule.
+  const bool is_doomed = deadline == nullptr && doomed(self);
+  bool parked = false;  // counted in parked_faulty (doomed ranks only)
+  bool slept = false;   // reached the park protocol
+  SpinWait spin(box, busy_spin_, deadline);
   while (true) {
     box.drain();
     if (auto m = take_now(box, source, tag)) {
+      spin.finish(slept);
       if (parked) {
         ilps::LockGuard fl(state_->fin_mutex);
         --state_->parked_faulty;
       }
-      return std::move(*m);
+      return m;
     }
     if (state_->aborted.load()) {
       throw CommError("recv interrupted: world aborted (" + state_->copy_abort_reason() +
@@ -418,6 +574,14 @@ Message World::wait_match(int self, int source, int tag) {
       box.cv.wait_for(lock, std::chrono::milliseconds(5));
       continue;
     }
+    // An oversubscribed world parks at once: a receive's peer needs the
+    // CPU this rank holds (only the barrier, where every rank is about to
+    // be released together, yield-polls there).
+    if (busy_spin_ &&
+        spin.spin([&] { return box.staged(source) || state_->aborted.load(); })) {
+      continue;
+    }
+    slept = true;
     // Register the envelope, publish the flag, then re-drain before
     // sleeping (the Dekker pair of post()'s flag-store / flag-load).
     {
@@ -429,78 +593,35 @@ Message World::wait_match(int self, int source, int tag) {
     }
     box.maybe_waiting.store(true, std::memory_order_seq_cst);
     box.drain();
-    if (auto m = take_now(box, source, tag)) {
-      box.maybe_waiting.store(false, std::memory_order_seq_cst);
-      {
-        ilps::LockGuard lock(box.wake_mu);
-        box.waiting = false;
-        box.notified = false;
-      }
-      if (parked) {
-        ilps::LockGuard fl(state_->fin_mutex);
-        --state_->parked_faulty;
-      }
-      return std::move(*m);
-    }
+    std::optional<Message> m = take_now(box, source, tag);
+    bool timed_out = false;
     {
       // The wait loop re-checks `aborted`: an abort that completed between
       // the loop-top check and our registration has already overwritten
       // and consumed its `notified = true`, and will never notify again.
       ilps::UniqueLock lock(box.wake_mu);
-      while (!box.notified && !state_->aborted.load()) box.cv.wait(lock);
-      box.waiting = false;
-      box.notified = false;
-    }
-    box.maybe_waiting.store(false, std::memory_order_seq_cst);
-  }
-}
-
-std::optional<Message> World::wait_match_for(int self, int source, int tag, double seconds) {
-  Mailbox& box = *boxes_[static_cast<size_t>(self)];
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::duration<double>(seconds);
-  while (true) {
-    box.drain();
-    if (auto m = take_now(box, source, tag)) return m;
-    if (state_->aborted.load()) {
-      throw CommError("recv interrupted: world aborted (" + state_->copy_abort_reason() +
-                      ")");
-    }
-    {
-      ilps::LockGuard lock(box.wake_mu);
-      box.waiting = true;
-      box.want_source = source;
-      box.want_tag = tag;
-      box.notified = false;
-    }
-    box.maybe_waiting.store(true, std::memory_order_seq_cst);
-    box.drain();
-    if (auto m = take_now(box, source, tag)) {
-      box.maybe_waiting.store(false, std::memory_order_seq_cst);
-      ilps::LockGuard lock(box.wake_mu);
-      box.waiting = false;
-      box.notified = false;
-      return m;
-    }
-    bool signalled = false;
-    {
-      ilps::UniqueLock lock(box.wake_mu);
-      // Timed wait loop: leave on a signal (or abort), or report a timeout
-      // with the final state of the predicate, exactly like the
-      // predicate-taking std overload.
-      while (!box.notified && !state_->aborted.load()) {
-        if (box.cv.wait_until(lock, deadline) == std::cv_status::timeout) break;
+      while (!m && !timed_out && !box.notified && !state_->aborted.load()) {
+        if (deadline == nullptr) {
+          box.cv.wait(lock);
+        } else {
+          timed_out = box.cv.wait_until(lock, *deadline) == std::cv_status::timeout;
+        }
       }
-      signalled = box.notified || state_->aborted.load();
+      // A signal (or abort) that raced the deadline still counts.
+      timed_out = timed_out && !box.notified && !state_->aborted.load();
       box.waiting = false;
       box.notified = false;
     }
     box.maybe_waiting.store(false, std::memory_order_seq_cst);
-    if (!signalled) {
-      // Timed out; one final pass through the same matching helper in case
-      // a post raced the deadline.
-      box.drain();
-      return take_now(box, source, tag);
+    if (m || timed_out) {
+      // On a timeout, one final pass through the same matching helper in
+      // case a post raced the deadline.
+      if (!m) {
+        box.drain();
+        m = take_now(box, source, tag);
+      }
+      spin.finish(true);
+      return m;
     }
   }
 }
@@ -532,7 +653,7 @@ bool World::aborted() const { return state_->aborted.load(); }
 
 // ---- barrier ----
 
-void World::barrier_cross(int /*self*/) {
+void World::barrier_cross(int self) {
   auto& st = *state_;
   auto& bar = st.bar;
   // ordering: acquire pairs with the releaser's seq_cst generation flip,
@@ -560,19 +681,16 @@ void World::barrier_cross(int /*self*/) {
     }
     return;
   }
-  for (int spin = 0; spin < kBarrierSpins; ++spin) {
-    // ordering: acquire — observing the flip must also publish the other
-    // ranks' pre-barrier writes to this rank.
-    if (bar.generation.load(std::memory_order_acquire) != gen) {
-      st.barrier_fastpath.add(1);
-      return;
-    }
-    if (st.aborted.load()) {
-      throw CommError("barrier interrupted: world aborted (" + st.copy_abort_reason() +
-                      ")");
-    }
-    std::this_thread::yield();
+  // ordering: acquire — observing the flip must also publish the other
+  // ranks' pre-barrier writes to this rank.
+  const auto released = [&] { return bar.generation.load(std::memory_order_acquire) != gen; };
+  SpinWait spin(*boxes_[static_cast<size_t>(self)], busy_spin_, nullptr);
+  if (spin.spin([&] { return released() || st.aborted.load(); }) && released()) {
+    spin.finish(false);
+    st.barrier_fastpath.add(1);
+    return;
   }
+  // An abort seen by the spin falls through: the wait below sees it too.
   bar.sleepers.fetch_add(1, std::memory_order_seq_cst);
   {
     ilps::UniqueLock lock(bar.mu);
@@ -588,6 +706,7 @@ void World::barrier_cross(int /*self*/) {
   if (bar.generation.load(std::memory_order_acquire) == gen) {
     throw CommError("barrier interrupted: world aborted (" + st.copy_abort_reason() + ")");
   }
+  spin.finish(true);
 }
 
 // ---- fault injection ----
@@ -772,7 +891,10 @@ Message Comm::recv(int source, int tag) {
 }
 
 std::optional<Message> Comm::recv_for(double seconds, int source, int tag) {
-  auto m = world_->wait_match_for(rank_, source, tag, seconds);
+  const World::Deadline deadline =
+      World::Deadline::clock::now() +
+      std::chrono::duration_cast<World::Deadline::duration>(std::chrono::duration<double>(seconds));
+  auto m = world_->wait_match(rank_, source, tag, &deadline);
   if (m) {
     obs::instant(obs::EventKind::kMpiRecv, m->source, static_cast<int64_t>(m->data.size()));
   }

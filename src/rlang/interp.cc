@@ -154,8 +154,13 @@ class REvaluator {
 
   RRef call_closure(const RRef& fn, std::vector<NamedArg>& args) {
     const Closure& closure = *fn->closure;
+    // The guard owns the level from the increment on, so a call that
+    // fails during argument matching gives its level back too.
+    struct Guard {
+      Interpreter& in;
+      ~Guard() { --in.depth_; }
+    } guard{in_};
     if (++in_.depth_ > kMaxDepth) {
-      --in_.depth_;
       throw RError("evaluation nested too deeply: infinite recursion?");
     }
     auto env = std::make_shared<Environment>();
@@ -202,10 +207,6 @@ class REvaluator {
       }
     }
 
-    struct Guard {
-      Interpreter& in;
-      ~Guard() { --in.depth_; }
-    } guard{in_};
     try {
       return body.eval(*closure.body, env);
     } catch (ReturnSig& r) {

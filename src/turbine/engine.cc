@@ -60,6 +60,7 @@ void Engine::add_rule(const std::vector<int64_t>& inputs, std::string action, Ta
   rule.req = client_.serve_ctx().req;
 
   int64_t rule_id = next_id_++;
+  rule.order = rule_id;
   for (int64_t input : inputs) {
     if (closed_.count(input) > 0) continue;
     auto it = watchers_.find(input);
@@ -196,6 +197,7 @@ void Engine::release(Rule&& rule) {
   adlb::WorkUnit unit;
   unit.type = static_cast<int>(rule.type);
   unit.priority = rule.priority;
+  unit.order = rule.order;
   unit.target = rule.target;
   unit.payload = std::move(rule.action);
   if (rule.req != 0) {

@@ -199,6 +199,7 @@ class Engine {
     TaskType type;
     int target;
     int priority;
+    int64_t order = 0;  // creation number, the released unit's age
     int64_t req = 0;
   };
 

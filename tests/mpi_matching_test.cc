@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -211,6 +213,126 @@ TEST(Matching, FaultWildcardStillMatchesUserTags) {
       EXPECT_EQ(ser::to_string(m.data), "normal");
     }
   });
+}
+
+// ---- spin-then-park ----
+
+// Messages that land while the receiver spins are matched exactly as if it
+// had parked: rank 0 waits for a "go" from rank 1 while a causally chained
+// sequence arrives from ranks 1 and 2, then wildcard receives must return
+// that sequence in arrival order, and an exact-tag wildcard-source receive
+// must skip the other tags.
+TEST(Spin, WildcardOrderHoldsForMessagesArrivingDuringTheSpin) {
+  constexpr int kRounds = 50;
+  constexpr int kGo = 9;
+  constexpr int kToken = 8;
+  World w(3);
+  w.run([](Comm& c) {
+    for (int round = 0; round < kRounds; ++round) {
+      if (c.rank() == 1) {
+        c.send_str(0, 3, "a");
+        c.send_str(2, kToken, "");
+        c.recv(2, kToken);
+        c.send_str(0, 4, "d");
+        c.send_str(0, kGo, "");
+      } else if (c.rank() == 2) {
+        c.recv(1, kToken);
+        c.send_str(0, 1, "b");
+        c.send_str(0, 2, "c");
+        c.send_str(1, kToken, "");
+      } else {
+        c.recv(ANY_SOURCE, kGo);
+        EXPECT_EQ(ser::to_string(c.recv(ANY_SOURCE, 2).data), "c");
+        std::string got;
+        for (int i = 0; i < 3; ++i) got += ser::to_string(c.recv().data);
+        EXPECT_EQ(got, "abd") << "round " << round;
+      }
+      c.barrier();
+    }
+  });
+}
+
+// An abort raised while a peer spins in recv reaches it promptly as a
+// CommError. The ping-pong keeps rank 0's spin budget up, so the final
+// recv, which never gets its reply, is spinning when the abort lands.
+TEST(Spin, AbortDuringSpinSurfacesPromptly) {
+  using Clock = std::chrono::steady_clock;
+  constexpr int kRounds = 200;
+  World w(2);
+  std::atomic<int64_t> abort_ns{0};
+  std::atomic<int64_t> seen_ns{0};
+  const auto ns = [] {
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(
+               Clock::now().time_since_epoch())
+        .count();
+  };
+  const auto body = [&](Comm& c) {
+    if (c.rank() == 0) {
+      for (int i = 0; i <= kRounds; ++i) {
+        c.send_str(1, 1, "ping");
+        try {
+          c.recv(1, 2);
+        } catch (const CommError&) {
+          seen_ns = ns();
+          throw;
+        }
+      }
+    } else {
+      for (int i = 0; i < kRounds; ++i) {
+        c.recv(0, 1);
+        c.send_str(0, 2, "pong");
+      }
+      c.recv(0, 1);
+      abort_ns = ns();
+      c.abort("stop");
+    }
+  };
+  EXPECT_THROW(w.run(body), CommError);
+  ASSERT_GT(seen_ns.load(), 0) << "rank 0 never saw the abort";
+  EXPECT_LT(seen_ns.load() - abort_ns.load(), int64_t{1'000'000'000});
+}
+
+// More ranks than usable CPUs: blocking waits yield instead of spinning,
+// so no spin is ever recorded.
+TEST(Spin, OversubscribedWorldNeverSpins) {
+  constexpr int kRanks = 16;
+  if (usable_cpus() >= kRanks) GTEST_SKIP() << "host has " << usable_cpus() << " CPUs";
+  World w(kRanks);
+  w.run([](Comm& c) {
+    const int next = (c.rank() + 1) % c.size();
+    const int prev = (c.rank() + c.size() - 1) % c.size();
+    for (int i = 0; i < 20; ++i) {
+      c.send_str(next, 1, "token");
+      c.recv(prev, 1);
+      c.barrier();
+    }
+  });
+  const TrafficStats s = w.stats();
+  EXPECT_EQ(s.spin_hits, 0u);
+  EXPECT_EQ(s.spin_ns, 0u);
+}
+
+// A request/reply ping-pong between two ranks with a CPU each is the case
+// the spin is for: some replies must land while the receiver spins.
+TEST(Spin, PingPongSpinsOnMulticoreHost) {
+  if (usable_cpus() < 2) GTEST_SKIP() << "needs 2 CPUs";
+  constexpr int kRounds = 5000;
+  World w(2);
+  w.run([](Comm& c) {
+    const int peer = 1 - c.rank();
+    for (int i = 0; i < kRounds; ++i) {
+      if (c.rank() == 0) {
+        c.send_str(peer, 1, "ping");
+        c.recv(peer, 2);
+      } else {
+        c.recv(peer, 1);
+        c.send_str(peer, 2, "pong");
+      }
+    }
+  });
+  const TrafficStats s = w.stats();
+  EXPECT_GT(s.spin_hits, 0u);
+  EXPECT_GT(s.spin_ns, 0u);
 }
 
 // A self-send posts while no receiver is registered, so the wakeup must

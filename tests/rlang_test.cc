@@ -185,6 +185,18 @@ TEST_F(RTest, RecursionLimit) {
   EXPECT_THROW(ev("inf()"), RError);
 }
 
+// A call that fails while matching its arguments must give back its
+// recursion level: 300 failures (the depth limit) leave the interpreter
+// able to call functions.
+TEST_F(RTest, FailedArgumentMatchingKeepsDepth) {
+  ev("f <- function(x) x + 1");
+  for (int i = 0; i < 300; ++i) {
+    EXPECT_THROW(ev("f(y = 2)"), RError);  // unused argument
+    EXPECT_THROW(ev("f()"), RError);       // missing argument
+  }
+  EXPECT_EQ(ev("f(1)"), "2");
+}
+
 TEST_F(RTest, LocalScope) {
   ev("x <- 1\nf <- function() {\n  x <- 2\n  x\n}");
   EXPECT_EQ(ev("f()"), "2");
